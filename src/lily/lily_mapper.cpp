@@ -3,33 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
 
 namespace lily {
 
 namespace {
 
-/// One candidate's evaluation, independent of every other candidate: a pure
-/// function of the (frozen) mapping state, so candidates can be scored in
-/// parallel. The winner is picked by a serial fold afterwards, in match
-/// order with the original tie-break, making the chosen match — and thus
-/// the whole mapping — identical for any thread count.
+/// One candidate's evaluation: a pure function of the mapping state frozen
+/// while a node is solved.
 struct CandEval {
-    bool valid = false;
     double key = 0.0;
     double gate_area = 0.0;  // tie-break
     LilyNodeSolution cand;
 };
 
-/// Per-chunk working storage for the parallel candidate evaluation (one per
-/// kCandidateGrain chunk, indexed by begin/kCandidateGrain — chunk starts
-/// are grain-aligned). Holds every buffer a single evaluation needs, so the
-/// warmed DP scan allocates nothing per candidate.
+/// Working storage for a candidate evaluation: every buffer one evaluation
+/// needs, so the warmed DP scan allocates nothing per candidate.
 struct EvalScratch {
     WireScratch wire;
     MedianScratch median;
@@ -77,13 +69,15 @@ struct Ctx {
     // Matcher buffers reused across every matches_at call of the DP.
     mutable MatchScratch match_scratch{};
     // Pooled DP buffers: the match list is filled in place (recycled slots
-    // keep their inner vectors' capacity), evaluations land in recycled
-    // CandEval slots, and each evaluation chunk owns an EvalScratch. After
-    // the first few nodes warm the pools, solve_node allocates only for the
-    // chosen solution it writes into sol[v].
+    // keep their inner vectors' capacity), each candidate is scored into the
+    // recycled `trial` slot and swapped with `best` when it wins, and one
+    // EvalScratch serves every evaluation. After the first few nodes warm
+    // the pools, solve_node allocates only for the chosen solution it
+    // writes into sol[v].
     mutable std::vector<Match> match_pool{};
-    mutable std::vector<CandEval> eval_pool{};
-    mutable std::vector<EvalScratch> eval_scratch{};
+    mutable CandEval best{};
+    mutable CandEval trial{};
+    mutable EvalScratch eval_scratch{};
 
     /// placePosition/mapPosition lookup per the paper's rules: hawks answer
     /// with their mapPosition, primary inputs with their pad, everything
@@ -112,9 +106,7 @@ void add_true_fanouts(const Ctx& ctx, SubjectId branch, std::vector<SubjectId>& 
 }
 
 /// Cached true-fanout list of `stem`, recomputed lazily after each cone
-/// commit (see Ctx::topo_epoch). Callers inside the parallel candidate
-/// evaluation must only hit warm entries (see warm_caches); cache fills are
-/// serial-only because they mutate the shared visit scratch.
+/// commit (see Ctx::topo_epoch).
 const std::vector<SubjectId>& true_fanouts(const Ctx& ctx, SubjectId stem) {
     if (ctx.tf_cache.size() != ctx.g.size()) {
         ctx.tf_cache.assign(ctx.g.size(), {});
@@ -311,23 +303,10 @@ RiseFallPair arrival_under_load(const Ctx& ctx, SubjectId vi, double c_load) {
     return out;
 }
 
-// ------------------------------------------- parallel candidate evaluation
-
-/// Serially fill every cache a candidate evaluation can read, so that the
-/// parallel evaluation below touches the caches read-only (a cold entry
-/// would otherwise race on the shared visit scratch / cache slots).
-void warm_caches(const Ctx& ctx, SubjectId v, std::span<const Match> matches) {
-    true_fanouts(ctx, v);  // output-load walk in delay mode
-    for (const Match& m : matches) {
-        for (const SubjectId vi : m.inputs) {
-            true_fanouts(ctx, vi);
-            full_fanin_rect(ctx, vi);
-        }
-    }
-}
+// ---------------------------------------------------- candidate evaluation
 
 /// Score one candidate into the recycled slot `out` (see CandEval). Every
-/// field the fold or the committed solution can read is written here; the
+/// field the winner test or the committed solution can read is written here; the
 /// stale `out.cand.match` from a previous node is cleared (capacity kept) so
 /// copying the winning slot into sol[v] stays cheap.
 void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, bool degraded,
@@ -403,19 +382,12 @@ void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, bool degrad
     }
     out.key = key;
     out.gate_area = gate.area;
-    out.valid = true;
 }
 
-/// Matches per evaluation chunk — fixed so the chunking (and therefore the
-/// arithmetic inside each evaluation, which is independent anyway) does not
-/// depend on the thread count.
-constexpr std::size_t kCandidateGrain = 2;
-
-/// DP at one gate node: enumerate matches, score every candidate in
-/// parallel against the frozen mapping state, then fold the winner serially
-/// in match order with the original tie-break — the same match wins as in a
-/// serial scan, for any LILY_THREADS value. Shared by the full mapping and
-/// the cone-scoped ECO remap. Unsupported when nothing matches.
+/// DP at one gate node: enumerate matches and score each candidate in match
+/// order, keeping the winner under the original tie-break (lower key, then
+/// smaller gate area among equal keys). Shared by the full mapping and the
+/// cone-scoped ECO remap. Unsupported when nothing matches.
 Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
                   bool& matcher_fault_pending) {
     std::size_t n_matches = ctx.matcher.matches_at(ctx.g, v, ctx.match_scratch,
@@ -424,41 +396,17 @@ Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
         n_matches = 0;
         matcher_fault_pending = false;
     }
-    const std::span<const Match> matches(ctx.match_pool.data(), n_matches);
-    if (!degraded) warm_caches(ctx, v, matches);
-    if (ctx.eval_pool.size() < n_matches) ctx.eval_pool.resize(n_matches);
-    const std::size_t n_chunks = parallel_chunk_count(n_matches, kCandidateGrain);
-    if (ctx.eval_scratch.size() < n_chunks) ctx.eval_scratch.resize(n_chunks);
-    parallel_for(
-        0, n_matches,
-        [&](std::size_t begin, std::size_t end) {
-            // Chunk starts are grain-aligned, so begin / grain is a stable
-            // per-chunk index whatever thread picked the chunk up.
-            EvalScratch& es = ctx.eval_scratch[begin / kCandidateGrain];
-            for (std::size_t i = begin; i < end; ++i) {
-                CandEval& e = ctx.eval_pool[i];
-                e.valid = false;
-                const Match& m = matches[i];
-                if (ctx.opts.cover == CoverMode::Trees && !legal_in_tree_mode(ctx.g, m)) {
-                    continue;  // slot stays invalid
-                }
-                evaluate_candidate(ctx, v, m, degraded, delay_mode, es, e);
-            }
-        },
-        kCandidateGrain);
-
-    // Serial winner fold in match order (original tie-break: lower key,
-    // then smaller gate area among equal keys).
     std::size_t best_i = n_matches;
     double best_key = std::numeric_limits<double>::max();
-    double best_area = 0.0;
     for (std::size_t i = 0; i < n_matches; ++i) {
-        const CandEval& e = ctx.eval_pool[i];
-        if (!e.valid) continue;
-        if (e.key < best_key ||
-            (e.key == best_key && best_i < n_matches && e.gate_area < best_area)) {
-            best_key = e.key;
-            best_area = e.gate_area;
+        const Match& m = ctx.match_pool[i];
+        if (ctx.opts.cover == CoverMode::Trees && !legal_in_tree_mode(ctx.g, m)) continue;
+        evaluate_candidate(ctx, v, m, degraded, delay_mode, ctx.eval_scratch, ctx.trial);
+        if (ctx.trial.key < best_key ||
+            (ctx.trial.key == best_key && best_i < n_matches &&
+             ctx.trial.gate_area < ctx.best.gate_area)) {
+            best_key = ctx.trial.key;
+            std::swap(ctx.best, ctx.trial);
             best_i = i;
         }
     }
@@ -467,7 +415,7 @@ Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
                       "LilyMapper: no match at node " + ctx.g.name_of(v));
     }
     LilyNodeSolution& s = ctx.sol[v];
-    s = ctx.eval_pool[best_i].cand;  // match cleared in the slot: cheap copy
+    s = ctx.best.cand;  // match cleared in the slot: cheap copy
     s.match = ctx.match_pool[best_i];
     s.has_match = true;
     return Status::ok();

@@ -1,11 +1,8 @@
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
-#include <tuple>
 
 #include "place/placement.hpp"
-#include "util/parallel.hpp"
 #include "util/sparse.hpp"
 
 namespace lily {
@@ -30,10 +27,6 @@ void PlacementNetlist::check() const {
 
 namespace {
 
-/// Nets per assembly chunk. Fixed (thread-count independent) so the
-/// concatenated triplet sequence matches the serial order exactly.
-constexpr std::size_t kNetGrain = 256;
-
 /// The connectivity part of the quadratic system, built once per placement:
 /// clique springs with weight 2/k per pin pair, pad springs folded into the
 /// diagonal and the right-hand side. Region anchors are the only thing that
@@ -46,8 +39,7 @@ struct QpSystem {
     std::vector<double> base_bx;     // rhs before region anchors
     std::vector<double> base_by;
     // Scratch reused across rounds (rhs with anchors applied), plus one CG
-    // workspace per axis — the axis solves may run concurrently, and after
-    // the first round the solves allocate nothing.
+    // workspace per axis — after the first round the solves allocate nothing.
     std::vector<double> bx, by, x, y;
     CgWorkspace cg_x, cg_y;
 };
@@ -58,48 +50,22 @@ QpSystem build_qp_system(const PlacementNetlist& nl) {
     sys.base_bx.assign(n, 0.0);
     sys.base_by.assign(n, 0.0);
 
-    // Per-chunk assembly: each chunk of nets produces its own triplet list
-    // and rhs contributions; chunks are then concatenated / applied in
-    // chunk order, which reproduces the serial net-by-net sequence (and
-    // with it the exact floating-point sums) for any thread count.
-    struct ChunkOut {
-        std::optional<SparseMatrix::Builder> builder;
-        std::vector<std::tuple<std::size_t, double, double>> rhs;  // cell, +bx, +by
-    };
-    const std::size_t n_chunks = parallel_chunk_count(nl.nets.size(), kNetGrain);
-    std::vector<ChunkOut> chunks(n_chunks);
-    parallel_for(
-        0, nl.nets.size(),
-        [&](std::size_t begin, std::size_t end) {
-            ChunkOut& out = chunks[begin / kNetGrain];
-            out.builder.emplace(n);
-            for (std::size_t ni = begin; ni < end; ++ni) {
-                const PlacementNetlist::Net& net = nl.nets[ni];
-                const std::size_t k = net.pin_count();
-                if (k < 2) continue;
-                const double w = 2.0 / static_cast<double>(k);
-                // Cell-cell springs.
-                for (std::size_t i = 0; i < net.cells.size(); ++i) {
-                    for (std::size_t j = i + 1; j < net.cells.size(); ++j) {
-                        out.builder->add_spring(net.cells[i], net.cells[j], w);
-                    }
-                    // Cell-pad springs (pad is fixed: diagonal + rhs).
-                    for (const std::size_t p : net.pads) {
-                        out.builder->add_anchor(net.cells[i], w);
-                        out.rhs.emplace_back(net.cells[i], w * nl.pad_positions[p].x,
-                                             w * nl.pad_positions[p].y);
-                    }
-                }
-            }
-        },
-        kNetGrain);
-
     SparseMatrix::Builder builder(n);
-    for (ChunkOut& c : chunks) {
-        if (c.builder.has_value()) builder.merge(std::move(*c.builder));
-        for (const auto& [cell, dx, dy] : c.rhs) {
-            sys.base_bx[cell] += dx;
-            sys.base_by[cell] += dy;
+    for (const PlacementNetlist::Net& net : nl.nets) {
+        const std::size_t k = net.pin_count();
+        if (k < 2) continue;
+        const double w = 2.0 / static_cast<double>(k);
+        for (std::size_t i = 0; i < net.cells.size(); ++i) {
+            // Cell-cell springs.
+            for (std::size_t j = i + 1; j < net.cells.size(); ++j) {
+                builder.add_spring(net.cells[i], net.cells[j], w);
+            }
+            // Cell-pad springs (pad is fixed: diagonal + rhs).
+            for (const std::size_t p : net.pads) {
+                builder.add_anchor(net.cells[i], w);
+                sys.base_bx[net.cells[i]] += w * nl.pad_positions[p].x;
+                sys.base_by[net.cells[i]] += w * nl.pad_positions[p].y;
+            }
         }
     }
     // Reserve a refreshable anchor slot on every diagonal; per-round anchor
@@ -123,16 +89,14 @@ bool solve_qp(QpSystem& sys, const PlacementNetlist& nl, std::span<const Point> 
     const std::size_t n = nl.n_cells;
     if (n == 0) return true;
 
-    parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-            const double w = std::max(anchor_w[c], 1e-9);
-            sys.a.set_anchor(c, w);
-            sys.bx[c] = sys.base_bx[c] + w * anchor_pos[c].x;
-            sys.by[c] = sys.base_by[c] + w * anchor_pos[c].y;
-            sys.x[c] = positions[c].x;
-            sys.y[c] = positions[c].y;
-        }
-    });
+    for (std::size_t c = 0; c < n; ++c) {
+        const double w = std::max(anchor_w[c], 1e-9);
+        sys.a.set_anchor(c, w);
+        sys.bx[c] = sys.base_bx[c] + w * anchor_pos[c].x;
+        sys.by[c] = sys.base_by[c] + w * anchor_pos[c].y;
+        sys.x[c] = positions[c].x;
+        sys.y[c] = positions[c].y;
+    }
 
     // Both axes share one Laplacian, so the lockstep pair solver streams the
     // matrix once per iteration for the two right-hand sides. Each axis's
@@ -141,9 +105,7 @@ bool solve_qp(QpSystem& sys, const PlacementNetlist& nl, std::span<const Point> 
     const auto [rx, ry] =
         conjugate_gradient_pair(sys.a, sys.bx, sys.x, sys.cg_x, sys.by, sys.y, sys.cg_y,
                                 opts.cg_tolerance, opts.cg_max_iters, opts.budget);
-    parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) positions[c] = {sys.x[c], sys.y[c]};
-    });
+    for (std::size_t c = 0; c < n; ++c) positions[c] = {sys.x[c], sys.y[c]};
     return !rx.budget_exhausted && !ry.budget_exhausted;
 }
 
@@ -152,24 +114,35 @@ struct Region {
     std::vector<std::size_t> cells;
 };
 
+/// Level 0: one unconstrained solve, every cell weakly pulled toward the
+/// region center.
+GlobalPlacement solve_level0(QpSystem& sys, const PlacementNetlist& nl, const Rect& region,
+                             const GlobalPlacementOptions& opts) {
+    GlobalPlacement out;
+    out.region = region;
+    out.positions.assign(nl.n_cells, region.center());
+    const std::vector<Point> anchor_pos(nl.n_cells, region.center());
+    const std::vector<double> anchor_w(nl.n_cells, opts.anchor_weight * 1e-3);
+    out.budget_exhausted = !solve_qp(sys, nl, anchor_pos, anchor_w, opts, out.positions);
+    return out;
+}
+
 }  // namespace
 
 GlobalPlacement place_quadratic(const PlacementNetlist& nl, const Rect& region,
                                 const GlobalPlacementOptions& opts) {
     nl.check();
-    GlobalPlacement out;
-    out.region = region;
-    out.positions.assign(nl.n_cells, region.center());
-    std::vector<Point> anchor_pos(nl.n_cells, region.center());
-    std::vector<double> anchor_w(nl.n_cells, opts.anchor_weight * 1e-3);
     QpSystem sys = build_qp_system(nl);
-    out.budget_exhausted = !solve_qp(sys, nl, anchor_pos, anchor_w, opts, out.positions);
-    return out;
+    return solve_level0(sys, nl, region, opts);
 }
 
 GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
                              const GlobalPlacementOptions& opts) {
-    GlobalPlacement out = place_quadratic(nl, region, opts);
+    nl.check();
+    // One system serves every level, level 0 included: solve_qp refolds
+    // every anchor slot and rewrites the whole rhs on each call.
+    QpSystem sys = build_qp_system(nl);
+    GlobalPlacement out = solve_level0(sys, nl, region, opts);
     if (nl.n_cells == 0) return out;
 
     // Recursive bipartitioning with center-of-mass anchoring (GORDIAN
@@ -186,7 +159,6 @@ GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
     double anchor = opts.anchor_weight;
     std::vector<Point> anchor_pos(nl.n_cells, region.center());
     std::vector<double> anchor_w(nl.n_cells, 0.0);
-    QpSystem sys = build_qp_system(nl);
 
     while (true) {
         // Budget guard: stop refining and keep the coarser (still legal)
@@ -195,74 +167,49 @@ GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
             out.budget_exhausted = true;
             break;
         }
-        // Split every oversized region. Region splits are independent (the
-        // per-region cell sort dominates), so they run in parallel; results
-        // land in per-region slots and are concatenated in region order, so
-        // the refinement sequence matches the serial one exactly.
-        struct SplitOut {
-            bool split = false;
-            Region lo, hi;      // when split
-            Region keep;        // when kept as-is
-        };
-        std::vector<SplitOut> splits(regions.size());
-        parallel_for(
-            0, regions.size(),
-            [&](std::size_t begin, std::size_t end) {
-                for (std::size_t ri = begin; ri < end; ++ri) {
-                    Region& r = regions[ri];
-                    SplitOut& s = splits[ri];
-                    if (r.cells.size() <= opts.max_cells_per_region) {
-                        s.keep = std::move(r);
-                        continue;
-                    }
-                    s.split = true;
-                    const bool split_x = r.rect.width() >= r.rect.height();
-                    std::sort(r.cells.begin(), r.cells.end(),
-                              [&](std::size_t a, std::size_t b) {
-                                  return split_x ? out.positions[a].x < out.positions[b].x
-                                                 : out.positions[a].y < out.positions[b].y;
-                              });
-                    // Area-balanced cut point.
-                    double total = 0.0;
-                    for (const std::size_t c : r.cells) total += nl.cell_area[c];
-                    double acc = 0.0;
-                    std::size_t cut = 0;
-                    while (cut < r.cells.size() &&
-                           acc + nl.cell_area[r.cells[cut]] / 2.0 < total / 2.0) {
-                        acc += nl.cell_area[r.cells[cut]];
-                        ++cut;
-                    }
-                    cut = std::clamp<std::size_t>(cut, 1, r.cells.size() - 1);
-                    const double frac = total > 0 ? acc / total : 0.5;
-
-                    if (split_x) {
-                        const double split_at = r.rect.ll.x + r.rect.width() * frac;
-                        s.lo.rect = {r.rect.ll, {split_at, r.rect.ur.y}};
-                        s.hi.rect = {{split_at, r.rect.ll.y}, r.rect.ur};
-                    } else {
-                        const double split_at = r.rect.ll.y + r.rect.height() * frac;
-                        s.lo.rect = {r.rect.ll, {r.rect.ur.x, split_at}};
-                        s.hi.rect = {{r.rect.ll.x, split_at}, r.rect.ur};
-                    }
-                    s.lo.cells.assign(r.cells.begin(),
-                                      r.cells.begin() + static_cast<std::ptrdiff_t>(cut));
-                    s.hi.cells.assign(r.cells.begin() + static_cast<std::ptrdiff_t>(cut),
-                                      r.cells.end());
-                }
-            },
-            /*grain=*/1);
-
+        // Split every oversized region, keeping region order: each split
+        // region is replaced in place by its low then its high half.
         bool any_split = false;
         std::vector<Region> next;
         next.reserve(regions.size() * 2);
-        for (SplitOut& s : splits) {
-            if (s.split) {
-                any_split = true;
-                next.push_back(std::move(s.lo));
-                next.push_back(std::move(s.hi));
-            } else {
-                next.push_back(std::move(s.keep));
+        for (Region& r : regions) {
+            if (r.cells.size() <= opts.max_cells_per_region) {
+                next.push_back(std::move(r));
+                continue;
             }
+            any_split = true;
+            const bool split_x = r.rect.width() >= r.rect.height();
+            std::sort(r.cells.begin(), r.cells.end(), [&](std::size_t a, std::size_t b) {
+                return split_x ? out.positions[a].x < out.positions[b].x
+                               : out.positions[a].y < out.positions[b].y;
+            });
+            // Area-balanced cut point.
+            double total = 0.0;
+            for (const std::size_t c : r.cells) total += nl.cell_area[c];
+            double acc = 0.0;
+            std::size_t cut = 0;
+            while (cut < r.cells.size() && acc + nl.cell_area[r.cells[cut]] / 2.0 < total / 2.0) {
+                acc += nl.cell_area[r.cells[cut]];
+                ++cut;
+            }
+            cut = std::clamp<std::size_t>(cut, 1, r.cells.size() - 1);
+            const double frac = total > 0 ? acc / total : 0.5;
+
+            Region lo, hi;
+            if (split_x) {
+                const double split_at = r.rect.ll.x + r.rect.width() * frac;
+                lo.rect = {r.rect.ll, {split_at, r.rect.ur.y}};
+                hi.rect = {{split_at, r.rect.ll.y}, r.rect.ur};
+            } else {
+                const double split_at = r.rect.ll.y + r.rect.height() * frac;
+                lo.rect = {r.rect.ll, {r.rect.ur.x, split_at}};
+                hi.rect = {{r.rect.ll.x, split_at}, r.rect.ur};
+            }
+            const auto mid = r.cells.begin() + static_cast<std::ptrdiff_t>(cut);
+            lo.cells.assign(r.cells.begin(), mid);
+            hi.cells.assign(mid, r.cells.end());
+            next.push_back(std::move(lo));
+            next.push_back(std::move(hi));
         }
         regions = std::move(next);
         if (!any_split) break;

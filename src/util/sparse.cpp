@@ -4,15 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "util/parallel.hpp"
-
 namespace lily {
-
-void SparseMatrix::Builder::merge(Builder&& other) {
-    assert(other.n_ == n_);
-    triplets_.insert(triplets_.end(), other.triplets_.begin(), other.triplets_.end());
-    other.triplets_.clear();
-}
 
 SparseMatrix SparseMatrix::Builder::build() && {
     std::sort(triplets_.begin(), triplets_.end(), [](const Triplet& a, const Triplet& b) {
@@ -85,44 +77,17 @@ void SparseMatrix::set_anchor(std::size_t i, double w) {
     diag_[i] = s;
 }
 
-namespace {
-
-/// The scalar reductions CG steers by stay strictly serial: any change in
-/// summation order (e.g. chunked partials) perturbs every subsequent
-/// iterate and un-pins the committed bench tables. The elementwise
-/// products are computed inside the fused parallel passes; this left-fold
-/// then reproduces a standalone dot product bit-for-bit (same multiplies,
-/// same add order — no FMA contraction on the baseline x86-64 target).
-double serial_sum(std::span<const double> v) {
-    double s = 0.0;
-    for (const double e : v) s += e;
-    return s;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-    return s;
-}
-
-/// True when parallel_for over n rows takes its serial fast path. The
-/// fused *_fold kernels (and the solver's vector updates) may then
-/// accumulate their reduction inline while sweeping the rows in order —
-/// the identical products added in the identical sequence as the
-/// write-products-then-fold parallel path — and skip the product-array
-/// traffic entirely. Either path yields the same bits, so the choice can
-/// follow the schedule.
-bool serial_pass(std::size_t n) {
-    return parallel_chunk_count(n, kParallelGrain) <= 1 || ThreadPool::global().size() <= 1 ||
-           ThreadPool::in_worker();
-}
-
-}  // namespace
-
 // The SpMV kernels hoist the array bases into locals and walk the entry
-// index k straight through each row range (row_start_[r] of the next row is
-// the ke the previous row stopped at). Per-row accumulation stays a serial
-// ascending left-fold, so every result bit matches the naive loop.
+// index k straight through the rows (row_start_[r] of the next row is the ke
+// the previous row stopped at). Per-row accumulation is a serial ascending
+// left-fold, and every reduction folds its elementwise products inline in
+// ascending row order — the same multiplies added in the same sequence as a
+// standalone dot product (no FMA contraction on the baseline x86-64
+// target). CG steers by these scalars, so any change in summation order
+// would perturb every later iterate and un-pin the committed bench tables.
+// The kernels are deliberately serial: the placement systems are a few
+// thousand rows, where one pool fork/join per kernel call costs more than
+// the sweep itself.
 void SparseMatrix::multiply(std::span<const double> x, std::span<double> y) const {
     assert(x.size() == n_ && y.size() == n_);
     const std::uint32_t* const rs = row_start_.data();
@@ -130,67 +95,16 @@ void SparseMatrix::multiply(std::span<const double> x, std::span<double> y) cons
     const double* const vals = val_.data();
     const double* const xp = x.data();
     double* const yp = y.data();
-    parallel_for(0, n_, [&](std::size_t begin, std::size_t end) {
-        std::uint32_t k = rs[begin];
-        for (std::size_t r = begin; r < end; ++r) {
-            const std::uint32_t ke = rs[r + 1];
-            double acc = 0.0;
-            for (; k < ke; ++k) acc += vals[k] * xp[cols[k]];
-            yp[r] = acc;
-        }
-    });
-}
-
-void SparseMatrix::multiply_dot(std::span<const double> x, std::span<double> y,
-                                std::span<double> xy) const {
-    assert(x.size() == n_ && y.size() == n_ && xy.size() == n_);
-    const std::uint32_t* const rs = row_start_.data();
-    const std::uint32_t* const cols = col_.data();
-    const double* const vals = val_.data();
-    const double* const xp = x.data();
-    double* const yp = y.data();
-    double* const xyp = xy.data();
-    parallel_for(0, n_, [&](std::size_t begin, std::size_t end) {
-        std::uint32_t k = rs[begin];
-        for (std::size_t r = begin; r < end; ++r) {
-            const std::uint32_t ke = rs[r + 1];
-            double acc = 0.0;
-            for (; k < ke; ++k) acc += vals[k] * xp[cols[k]];
-            yp[r] = acc;
-            xyp[r] = xp[r] * acc;
-        }
-    });
-}
-
-void SparseMatrix::multiply_residual(std::span<const double> x, std::span<const double> b,
-                                     std::span<double> r, std::span<double> rr) const {
-    assert(x.size() == n_ && b.size() == n_ && r.size() == n_ && rr.size() == n_);
-    const std::uint32_t* const rs = row_start_.data();
-    const std::uint32_t* const cols = col_.data();
-    const double* const vals = val_.data();
-    const double* const xp = x.data();
-    const double* const bp = b.data();
-    double* const rp = r.data();
-    double* const rrp = rr.data();
-    parallel_for(0, n_, [&](std::size_t begin, std::size_t end) {
-        std::uint32_t k = rs[begin];
-        for (std::size_t row = begin; row < end; ++row) {
-            const std::uint32_t ke = rs[row + 1];
-            double acc = 0.0;
-            for (; k < ke; ++k) acc += vals[k] * xp[cols[k]];
-            const double res = bp[row] - acc;
-            rp[row] = res;
-            rrp[row] = res * res;
-        }
-    });
-}
-
-double SparseMatrix::multiply_dot_fold(std::span<const double> x, std::span<double> y,
-                                       std::span<double> xy) const {
-    if (!serial_pass(n_)) {
-        multiply_dot(x, y, xy);
-        return serial_sum(xy);
+    std::uint32_t k = 0;
+    for (std::size_t r = 0; r < n_; ++r) {
+        const std::uint32_t ke = rs[r + 1];
+        double acc = 0.0;
+        for (; k < ke; ++k) acc += vals[k] * xp[cols[k]];
+        yp[r] = acc;
     }
+}
+
+double SparseMatrix::multiply_dot_fold(std::span<const double> x, std::span<double> y) const {
     assert(x.size() == n_ && y.size() == n_);
     const std::uint32_t* const rs = row_start_.data();
     const std::uint32_t* const cols = col_.data();
@@ -210,9 +124,8 @@ double SparseMatrix::multiply_dot_fold(std::span<const double> x, std::span<doub
 }
 
 void SparseMatrix::multiply_dot_fold2(std::span<const double> x1, std::span<double> y1,
-                                      std::span<double> xy1, std::span<const double> x2,
-                                      std::span<double> y2, std::span<double> xy2, double& fold1,
-                                      double& fold2) const {
+                                      std::span<const double> x2, std::span<double> y2,
+                                      double& fold1, double& fold2) const {
     assert(x1.size() == n_ && y1.size() == n_ && x2.size() == n_ && y2.size() == n_);
     const std::uint32_t* const rs = row_start_.data();
     const std::uint32_t* const cols = col_.data();
@@ -221,31 +134,6 @@ void SparseMatrix::multiply_dot_fold2(std::span<const double> x1, std::span<doub
     const double* const xp2 = x2.data();
     double* const yp1 = y1.data();
     double* const yp2 = y2.data();
-    if (!serial_pass(n_)) {
-        double* const xyp1 = xy1.data();
-        double* const xyp2 = xy2.data();
-        parallel_for(0, n_, [&](std::size_t begin, std::size_t end) {
-            std::uint32_t k = rs[begin];
-            for (std::size_t r = begin; r < end; ++r) {
-                const std::uint32_t ke = rs[r + 1];
-                double a1 = 0.0;
-                double a2 = 0.0;
-                for (; k < ke; ++k) {
-                    const double v = vals[k];
-                    const std::uint32_t c = cols[k];
-                    a1 += v * xp1[c];
-                    a2 += v * xp2[c];
-                }
-                yp1[r] = a1;
-                xyp1[r] = xp1[r] * a1;
-                yp2[r] = a2;
-                xyp2[r] = xp2[r] * a2;
-            }
-        });
-        fold1 = serial_sum(xy1);
-        fold2 = serial_sum(xy2);
-        return;
-    }
     double s1 = 0.0;
     double s2 = 0.0;
     std::uint32_t k = 0;
@@ -269,11 +157,7 @@ void SparseMatrix::multiply_dot_fold2(std::span<const double> x1, std::span<doub
 }
 
 double SparseMatrix::multiply_residual_fold(std::span<const double> x, std::span<const double> b,
-                                            std::span<double> r, std::span<double> rr) const {
-    if (!serial_pass(n_)) {
-        multiply_residual(x, b, r, rr);
-        return serial_sum(rr);
-    }
+                                            std::span<double> r) const {
     assert(x.size() == n_ && b.size() == n_ && r.size() == n_);
     const std::uint32_t* const rs = row_start_.data();
     const std::uint32_t* const cols = col_.data();
@@ -294,120 +178,116 @@ double SparseMatrix::multiply_residual_fold(std::span<const double> x, std::span
     return s;
 }
 
-CgResult conjugate_gradient(const SparseMatrix& a, std::span<const double> b,
-                            std::span<double> x, CgWorkspace& ws, double tol,
-                            std::size_t max_iters, StageBudget* budget) {
+namespace {
+
+double dot(std::span<const double> a, std::span<const double> b) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+    return s;
+}
+
+/// State of one conjugate-gradient solve. conjugate_gradient drives one of
+/// these, conjugate_gradient_pair two in lockstep; both run the identical
+/// per-axis arithmetic below, so a pair solve reproduces two sequential
+/// solves bit for bit.
+struct CgAxis {
+    std::span<const double> b;
+    std::span<double> x;
+    std::span<double> r, z, p, ap;
+    double stop = 0.0;
+    double rz = 0.0;
+    CgResult res;
+    bool active = true;
+};
+
+/// Bind `ws` to a fresh solve of A x = b and run the setup pass: r = b - A x,
+/// z = D^-1 r (Jacobi), p = z. Deactivates the axis when the initial guess
+/// already meets the tolerance.
+CgAxis start_axis(const SparseMatrix& a, std::span<const double> b, std::span<double> x,
+                  CgWorkspace& ws, double tol) {
     const std::size_t n = a.size();
     assert(b.size() == n && x.size() == n);
-
     // resize(), not assign(): every element is written before it is read,
     // and a warmed workspace must not reallocate.
     ws.r.resize(n);
     ws.z.resize(n);
     ws.p.resize(n);
     ws.ap.resize(n);
-    ws.prod.resize(n);
-    std::span<double> r(ws.r), z(ws.z), p(ws.p), ap(ws.ap), prod(ws.prod);
+    CgAxis ax{b, x, ws.r, ws.z, ws.p, ws.ap, 0.0, 0.0, {}, true};
 
-    // On parallel_for's serial fast path the vector passes fold their
-    // reduction inline while sweeping i in order — the same products in the
-    // same sequence as writing prod[] and folding it afterwards, minus the
-    // product-array traffic. Both paths produce identical bits, so the
-    // schedule (and only the schedule) picks between them.
-    const bool fused_serial = serial_pass(n);
-
-    const double r_sq0 = a.multiply_residual_fold(x, b, r, prod);
-
-    const double b_norm = std::sqrt(dot(b, b));
-    const double stop = tol * std::max(1.0, b_norm);
-
-    // z = D^-1 r fused with prod = r .* z, so the serial fold of prod is
-    // exactly the old dot(r, z).
-    auto precondition_rz = [&]() -> double {
-        if (fused_serial) {
-            double s = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const double d = a.diagonal(i);
-                z[i] = d > 0.0 ? r[i] / d : r[i];
-                s += r[i] * z[i];
-            }
-            return s;
-        }
-        parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const double d = a.diagonal(i);
-                z[i] = d > 0.0 ? r[i] / d : r[i];
-                prod[i] = r[i] * z[i];
-            }
-        });
-        return serial_sum(prod);
-    };
-
-    double rz = precondition_rz();
-    parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) p[i] = z[i];
-    });
-
-    CgResult result;
-    result.residual_norm = std::sqrt(r_sq0);
-    if (result.residual_norm <= stop) {
-        result.converged = true;
-        return result;
+    const double r_sq0 = a.multiply_residual_fold(x, b, ax.r);
+    ax.stop = tol * std::max(1.0, std::sqrt(dot(b, b)));
+    double rz = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double d = a.diagonal(i);
+        ax.z[i] = d > 0.0 ? ax.r[i] / d : ax.r[i];
+        rz += ax.r[i] * ax.z[i];
     }
-
-    for (std::size_t it = 0; it < max_iters; ++it) {
-        if (budget != nullptr && !budget->tick()) {
-            // Out of budget: hand back the current (partial) iterate.
-            result.budget_exhausted = true;
-            return result;
-        }
-        const double p_ap = a.multiply_dot_fold(p, ap, prod);
-        if (p_ap <= 0.0) break;  // matrix not SPD along p; bail out
-        const double alpha = rz / p_ap;
-        double r_sq;
-        double rz_next = 0.0;
-        bool have_rz_next = false;
-        if (fused_serial) {
-            // Fold the next preconditioner application into the same sweep;
-            // z/rz_next are dead values if this iteration converges, so the
-            // fusion is observationally identical (see pair solver).
-            double s = 0.0;
-            double srz = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-                s += r[i] * r[i];
-                const double d = a.diagonal(i);
-                z[i] = d > 0.0 ? r[i] / d : r[i];
-                srz += r[i] * z[i];
-            }
-            r_sq = s;
-            rz_next = srz;
-            have_rz_next = true;
-        } else {
-            parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    x[i] += alpha * p[i];
-                    r[i] -= alpha * ap[i];
-                    prod[i] = r[i] * r[i];
-                }
-            });
-            r_sq = serial_sum(prod);
-        }
-        result.iterations = it + 1;
-        result.residual_norm = std::sqrt(r_sq);
-        if (result.residual_norm <= stop) {
-            result.converged = true;
-            return result;
-        }
-        if (!have_rz_next) rz_next = precondition_rz();
-        const double beta = rz_next / rz;
-        rz = rz_next;
-        parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) p[i] = z[i] + beta * p[i];
-        });
+    ax.rz = rz;
+    std::copy(ax.z.begin(), ax.z.end(), ax.p.begin());
+    ax.res.residual_norm = std::sqrt(r_sq0);
+    if (ax.res.residual_norm <= ax.stop) {
+        ax.res.converged = true;
+        ax.active = false;
     }
-    return result;
+    return ax;
+}
+
+/// One CG iteration on an active axis, given p.Ap (with ap = A p already
+/// written by the SpMV).
+void step_axis(const SparseMatrix& a, CgAxis& ax, double p_ap, std::size_t it) {
+    if (!ax.active) return;
+    if (p_ap <= 0.0) {  // matrix not SPD along p; this axis bails out
+        ax.active = false;
+        return;
+    }
+    const std::size_t n = a.size();
+    const double alpha = ax.rz / p_ap;
+    // One sweep: iterate update, convergence fold, and the next Jacobi
+    // preconditioner application with its r.z fold. On the converging
+    // iteration z and rz_next are simply dead values.
+    double r_sq = 0.0;
+    double rz_next = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ax.x[i] += alpha * ax.p[i];
+        ax.r[i] -= alpha * ax.ap[i];
+        r_sq += ax.r[i] * ax.r[i];
+        const double d = a.diagonal(i);
+        ax.z[i] = d > 0.0 ? ax.r[i] / d : ax.r[i];
+        rz_next += ax.r[i] * ax.z[i];
+    }
+    ax.res.iterations = it + 1;
+    ax.res.residual_norm = std::sqrt(r_sq);
+    if (ax.res.residual_norm <= ax.stop) {
+        ax.res.converged = true;
+        ax.active = false;
+        return;
+    }
+    const double beta = rz_next / ax.rz;
+    ax.rz = rz_next;
+    for (std::size_t i = 0; i < n; ++i) ax.p[i] = ax.z[i] + beta * ax.p[i];
+}
+
+/// Budget gate before an iteration: one tick per active axis. Returns false
+/// (and flags the axis) when the budget is spent.
+bool tick_axis(CgAxis& ax, StageBudget* budget) {
+    if (!ax.active || budget == nullptr || budget->tick()) return ax.active;
+    // Out of budget: the axis keeps its current (partial) iterate.
+    ax.res.budget_exhausted = true;
+    ax.active = false;
+    return false;
+}
+
+}  // namespace
+
+CgResult conjugate_gradient(const SparseMatrix& a, std::span<const double> b,
+                            std::span<double> x, CgWorkspace& ws, double tol,
+                            std::size_t max_iters, StageBudget* budget) {
+    CgAxis ax = start_axis(a, b, x, ws, tol);
+    for (std::size_t it = 0; it < max_iters && tick_axis(ax, budget); ++it) {
+        step_axis(a, ax, a.multiply_dot_fold(ax.p, ax.ap), it);
+    }
+    return ax.res;
 }
 
 CgResult conjugate_gradient(const SparseMatrix& a, std::span<const double> b,
@@ -417,163 +297,28 @@ CgResult conjugate_gradient(const SparseMatrix& a, std::span<const double> b,
     return conjugate_gradient(a, b, x, ws, tol, max_iters, budget);
 }
 
-namespace {
-
-/// Per-side state of a lockstep pair solve. Every scalar and vector update
-/// below replays conjugate_gradient's arithmetic verbatim on this state —
-/// the lockstep schedule shares only the (read-only) matrix sweep.
-struct PairAxis {
-    std::span<const double> b;
-    std::span<double> x;
-    std::span<double> r, z, p, ap, prod;
-    double stop = 0.0;
-    double rz = 0.0;
-    CgResult res;
-    bool active = true;
-};
-
-}  // namespace
-
 std::pair<CgResult, CgResult> conjugate_gradient_pair(
     const SparseMatrix& a, std::span<const double> b1, std::span<double> x1, CgWorkspace& ws1,
     std::span<const double> b2, std::span<double> x2, CgWorkspace& ws2, double tol,
     std::size_t max_iters, StageBudget* budget) {
-    const std::size_t n = a.size();
-    assert(b1.size() == n && x1.size() == n && b2.size() == n && x2.size() == n);
-    const bool fused_serial = serial_pass(n);
-
-    PairAxis ax1{b1, x1, {}, {}, {}, {}, {}, 0.0, 0.0, {}, true};
-    PairAxis ax2{b2, x2, {}, {}, {}, {}, {}, 0.0, 0.0, {}, true};
-    const auto bind = [&](PairAxis& ax, CgWorkspace& ws) {
-        ws.r.resize(n);
-        ws.z.resize(n);
-        ws.p.resize(n);
-        ws.ap.resize(n);
-        ws.prod.resize(n);
-        ax.r = ws.r;
-        ax.z = ws.z;
-        ax.p = ws.p;
-        ax.ap = ws.ap;
-        ax.prod = ws.prod;
-    };
-    bind(ax1, ws1);
-    bind(ax2, ws2);
-
-    const auto precondition_rz = [&](PairAxis& ax) -> double {
-        if (fused_serial) {
-            double s = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const double d = a.diagonal(i);
-                ax.z[i] = d > 0.0 ? ax.r[i] / d : ax.r[i];
-                s += ax.r[i] * ax.z[i];
-            }
-            return s;
-        }
-        parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const double d = a.diagonal(i);
-                ax.z[i] = d > 0.0 ? ax.r[i] / d : ax.r[i];
-                ax.prod[i] = ax.r[i] * ax.z[i];
-            }
-        });
-        return serial_sum(ax.prod);
-    };
-
-    const auto setup = [&](PairAxis& ax) {
-        const double r_sq0 = a.multiply_residual_fold(ax.x, ax.b, ax.r, ax.prod);
-        const double b_norm = std::sqrt(dot(ax.b, ax.b));
-        ax.stop = tol * std::max(1.0, b_norm);
-        ax.rz = precondition_rz(ax);
-        parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) ax.p[i] = ax.z[i];
-        });
-        ax.res.residual_norm = std::sqrt(r_sq0);
-        if (ax.res.residual_norm <= ax.stop) {
-            ax.res.converged = true;
-            ax.active = false;
-        }
-    };
-    setup(ax1);
-    setup(ax2);
-
-    const auto step = [&](PairAxis& ax, double p_ap, std::size_t it) {
-        if (!ax.active) return;
-        if (p_ap <= 0.0) {  // matrix not SPD along p; this side bails out
-            ax.active = false;
-            return;
-        }
-        const double alpha = ax.rz / p_ap;
-        double r_sq;
-        double rz_next = 0.0;
-        bool have_rz_next = false;
-        if (fused_serial) {
-            // One sweep: iterate update, convergence fold, and the next
-            // Jacobi preconditioner application. z and its fold are exactly
-            // what precondition_rz computes from the just-updated r (same
-            // elementwise ops, same ascending fold); on the converging
-            // iteration they are simply dead values, so the fusion changes
-            // no observable bit.
-            double s = 0.0;
-            double srz = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                ax.x[i] += alpha * ax.p[i];
-                ax.r[i] -= alpha * ax.ap[i];
-                s += ax.r[i] * ax.r[i];
-                const double d = a.diagonal(i);
-                ax.z[i] = d > 0.0 ? ax.r[i] / d : ax.r[i];
-                srz += ax.r[i] * ax.z[i];
-            }
-            r_sq = s;
-            rz_next = srz;
-            have_rz_next = true;
-        } else {
-            parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                    ax.x[i] += alpha * ax.p[i];
-                    ax.r[i] -= alpha * ax.ap[i];
-                    ax.prod[i] = ax.r[i] * ax.r[i];
-                }
-            });
-            r_sq = serial_sum(ax.prod);
-        }
-        ax.res.iterations = it + 1;
-        ax.res.residual_norm = std::sqrt(r_sq);
-        if (ax.res.residual_norm <= ax.stop) {
-            ax.res.converged = true;
-            ax.active = false;
-            return;
-        }
-        if (!have_rz_next) rz_next = precondition_rz(ax);
-        const double beta = rz_next / ax.rz;
-        ax.rz = rz_next;
-        parallel_for(0, n, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) ax.p[i] = ax.z[i] + beta * ax.p[i];
-        });
-    };
-
-    for (std::size_t it = 0; (ax1.active || ax2.active) && it < max_iters; ++it) {
-        if (budget != nullptr) {
-            if (ax1.active && !budget->tick()) {
-                ax1.res.budget_exhausted = true;
-                ax1.active = false;
-            }
-            if (ax2.active && !budget->tick()) {
-                ax2.res.budget_exhausted = true;
-                ax2.active = false;
-            }
-            if (!ax1.active && !ax2.active) break;
-        }
+    CgAxis ax1 = start_axis(a, b1, x1, ws1, tol);
+    CgAxis ax2 = start_axis(a, b2, x2, ws2, tol);
+    for (std::size_t it = 0; it < max_iters; ++it) {
+        const bool on1 = tick_axis(ax1, budget);
+        const bool on2 = tick_axis(ax2, budget);
         double pap1 = 0.0;
         double pap2 = 0.0;
-        if (ax1.active && ax2.active) {
-            a.multiply_dot_fold2(ax1.p, ax1.ap, ax1.prod, ax2.p, ax2.ap, ax2.prod, pap1, pap2);
-        } else if (ax1.active) {
-            pap1 = a.multiply_dot_fold(ax1.p, ax1.ap, ax1.prod);
+        if (on1 && on2) {
+            a.multiply_dot_fold2(ax1.p, ax1.ap, ax2.p, ax2.ap, pap1, pap2);
+        } else if (on1) {
+            pap1 = a.multiply_dot_fold(ax1.p, ax1.ap);
+        } else if (on2) {
+            pap2 = a.multiply_dot_fold(ax2.p, ax2.ap);
         } else {
-            pap2 = a.multiply_dot_fold(ax2.p, ax2.ap, ax2.prod);
+            break;
         }
-        step(ax1, pap1, it);
-        step(ax2, pap2, it);
+        step_axis(a, ax1, pap1, it);
+        step_axis(a, ax2, pap2, it);
     }
     return {ax1.res, ax2.res};
 }
