@@ -109,10 +109,9 @@ struct FlowOptions {
     FlowBudget budget;
     /// Fallback/retry behavior when a stage fails or runs out of budget.
     RecoveryPolicy recovery;
-    /// Worker threads for the parallel kernels (placement assembly, CG,
-    /// candidate evaluation). 0 = LILY_THREADS from the environment, or the
-    /// hardware concurrency when unset. All reductions are deterministic:
-    /// results are bit-identical for every thread count.
+    /// Ignored: every flow stage runs serially on the calling thread
+    /// (DESIGN.md §6c), so results are the same for any value. Kept so
+    /// callers that set a thread count still build.
     std::size_t threads = 0;
     /// Structured trace sink the StageExecutor emits spans/counters into
     /// (caller-owned; see util/trace.hpp). nullptr falls back to the

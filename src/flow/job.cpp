@@ -240,7 +240,6 @@ FlowOptions options_for(const JobSpec& spec) {
     opts.check = spec.options.check;
     opts.verify = spec.options.verify;
     opts.budget.total_ms = spec.options.budget_ms;
-    opts.threads = spec.options.threads == 0 ? 1 : spec.options.threads;
     if (spec.tier == JobTier::Degraded) {
         // The retry tier applies the recovery ladder's final rung up front:
         // the wire weight rung that PR 2's adaptive schedule ends on, with

@@ -46,7 +46,7 @@ struct JobFlowOptions {
     CheckLevel check = CheckLevel::Off;
     VerifyLevel verify = VerifyLevel::Off;
     double budget_ms = 0.0;  // whole-flow wall budget; 0 = unlimited
-    std::uint32_t threads = 1;  // worker-side LILY_THREADS; deterministic per PR 3
+    std::uint32_t threads = 1;  // kept on the wire; flows run serially
 };
 
 struct JobSpec {

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "util/fault.hpp"
-#include "util/parallel.hpp"
 
 namespace lily {
 
@@ -90,7 +89,6 @@ Point rescale_point(const Point& p, const Rect& from, const Rect& to) {
 FlowContext::FlowContext(const char* flow_label, const FlowOptions& opts,
                          FlowDiagnostics& diag)
     : label_(flow_label), opts_(opts), diag_(diag), total_(opts.budget.total_ms) {
-    ThreadPool::global().resize(opts.threads);
     limited_ = total_.limited();
     if (opts.trace != nullptr) {
         sink_ = opts.trace;

@@ -27,7 +27,6 @@
 //     --check=off|light|paranoid     in-flow checker level (default off)
 //     --verify=off|sim|prove         in-flow equivalence level (default off)
 //     --budget-ms=N                  whole-flow wall budget (default 0)
-//     --threads=N                    worker-side thread count (default 1)
 //     --inject=STAGE:KIND            fault spec installed in the worker
 //     --timeout-ms=N                 client-side wait budget (default 120000)
 //     --out=FILE                     write the mapped BLIF here (map only)
@@ -58,8 +57,7 @@ void usage(std::FILE* to) {
         "usage: lily_client --socket=PATH <command> [options]\n"
         "  commands: map submit wait health stats shutdown load\n"
         "  job options: --flow=K --objective=K --check=K --verify=K --budget-ms=N\n"
-        "               --threads=N --inject=SPEC --timeout-ms=N --out=FILE --jobs=N\n"
-        "               --no-wait\n",
+        "               --inject=SPEC --timeout-ms=N --out=FILE --jobs=N --no-wait\n",
         to);
 }
 
@@ -128,8 +126,6 @@ bool parse_args(int argc, char** argv, ClientArgs& out) {
             }
         } else if (arg.rfind("--budget-ms=", 0) == 0) {
             out.options.budget_ms = std::atof(arg.c_str() + 12);
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            out.options.threads = static_cast<std::uint32_t>(std::atoi(arg.c_str() + 10));
         } else if (arg.rfind("--inject=", 0) == 0) {
             out.fault_spec = arg.substr(9);
         } else if (arg.rfind("--timeout-ms=", 0) == 0) {

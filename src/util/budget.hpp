@@ -62,9 +62,9 @@ public:
 
     bool limited() const { return has_deadline_ || max_ticks_ != 0; }
 
-    /// Thread-safe: polled concurrently by worker threads inside the CG
-    /// solver and the partitioner (relaxed atomic reads; the deadline check
-    /// only touches immutable state and the clock).
+    /// Thread-safe: may be polled from several threads at once (relaxed
+    /// atomic reads; the deadline check only touches immutable state and
+    /// the clock).
     bool exhausted() const;
 
     /// Consume `n` iterations; returns true while the budget still has
