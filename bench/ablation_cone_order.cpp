@@ -37,8 +37,8 @@ int main() {
         with.lily.order_cones = true;
         FlowOptions without;
         without.lily.order_cones = false;
-        const FlowResult f_with = run_lily_flow(b.network, lib, with);
-        const FlowResult f_without = run_lily_flow(b.network, lib, without);
+        const FlowResult f_with = run_lily_flow_checked(b.network, lib, with).take_or_raise();
+        const FlowResult f_without = run_lily_flow_checked(b.network, lib, without).take_or_raise();
         wire.add(f_with.metrics.wirelength, f_without.metrics.wirelength);
         std::printf("%-8s | %8zu %8zu | %10.1f %10.1f | %+6.1f%%\n", b.name.c_str(), fwd_id,
                     fwd_ord, f_without.metrics.wirelength, f_with.metrics.wirelength,

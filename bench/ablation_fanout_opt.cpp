@@ -53,23 +53,23 @@ int main() {
         opts.objective = MapObjective::Delay;
 
         // Without the post-pass.
-        const FlowResult plain = run_lily_flow(b.network, lib, opts);
+        const FlowResult plain = run_lily_flow_checked(b.network, lib, opts).take_or_raise();
 
         // With the post-pass: map, buffer, then run the shared back end.
         const DecomposeResult sub = decompose(b.network);
         LilyOptions lopts = opts.lily;
         lopts.objective = MapObjective::Delay;
         lopts.cover = CoverMode::Cones;
-        const LilyResult mapped = LilyMapper(lib).map(sub.graph, lopts);
+        const LilyResult mapped = LilyMapper(lib).map_checked(sub.graph, lopts).take_or_raise();
         MappedNetlist buffered = mapped.netlist;
         std::vector<Point> seed = mapped.instance_positions;
         FanoutOptOptions fo;
         fo.max_fanout = 12;
         fo.sinks_per_buffer = 8;
         const FanoutOptResult fres = optimize_fanout(buffered, lib, &seed, fo);
-        const FlowResult opt = run_backend(
-            buffered, lib, opts,
-            PadsInRegion{mapped.pad_positions, mapped.inchoate_placement.region}, seed);
+        const PadsInRegion pads{mapped.pad_positions, mapped.inchoate_placement.region};
+        const FlowResult opt =
+            run_backend_checked(buffered, lib, opts, pads, seed).take_or_raise();
 
         delay.add(opt.metrics.critical_delay, plain.metrics.critical_delay);
         const LoadStats lv_plain = load_stats(plain.netlist, lib, plain);
@@ -100,20 +100,20 @@ int main() {
     LilyOptions hlopts = dopts.lily;
     hlopts.objective = MapObjective::Delay;
     hlopts.cover = CoverMode::Cones;
-    const LilyResult hmap = LilyMapper(lib).map(hsub.graph, hlopts);
-    const FlowResult hot_plain = run_backend(
+    const LilyResult hmap = LilyMapper(lib).map_checked(hsub.graph, hlopts).take_or_raise();
+    const FlowResult hot_plain = run_backend_checked(
         hmap.netlist, lib, dopts,
         PadsInRegion{hmap.pad_positions, hmap.inchoate_placement.region},
-        hmap.instance_positions);
+        hmap.instance_positions).take_or_raise();
     MappedNetlist hbuf = hmap.netlist;
     std::vector<Point> hseed = hmap.instance_positions;
     FanoutOptOptions hfo;
     hfo.max_fanout = 12;
     hfo.sinks_per_buffer = 8;
     const FanoutOptResult hres = optimize_fanout(hbuf, lib, &hseed, hfo);
-    const FlowResult hot_opt = run_backend(
+    const FlowResult hot_opt = run_backend_checked(
         hbuf, lib, dopts, PadsInRegion{hmap.pad_positions, hmap.inchoate_placement.region},
-        hseed);
+        hseed).take_or_raise();
     const LoadStats hot_lv_plain = load_stats(hmap.netlist, lib, hot_plain);
     const LoadStats hot_lv_opt = load_stats(hbuf, lib, hot_opt);
     std::printf("hot net (1 driver -> 64 sinks): plain %.2f ns worst load %.2f pF "

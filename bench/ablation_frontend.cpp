@@ -35,8 +35,8 @@ int main() {
         OptimizeStats stats;
         const Network optimized = optimize(b.network, {}, &stats);
 
-        const FlowResult raw = run_lily_flow(b.network, lib);
-        const FlowResult opt = run_lily_flow(optimized, lib);
+        const FlowResult raw = run_lily_flow_checked(b.network, lib).take_or_raise();
+        const FlowResult opt = run_lily_flow_checked(optimized, lib).take_or_raise();
         chip.add(opt.metrics.chip_area, raw.metrics.chip_area);
         wire.add(opt.metrics.wirelength, raw.metrics.wirelength);
         std::printf("%-8s | %6zu %9.1f %9.1f | %6zu %6zu %9.1f %9.1f | %+6.1f%%\n",

@@ -27,8 +27,8 @@ int main() {
         none.lily.replace_every_n_cones = 0;
         FlowOptions re4;
         re4.lily.replace_every_n_cones = 4;
-        const FlowResult f0 = run_lily_flow(b.network, lib, none);
-        const FlowResult f4 = run_lily_flow(b.network, lib, re4);
+        const FlowResult f0 = run_lily_flow_checked(b.network, lib, none).take_or_raise();
+        const FlowResult f4 = run_lily_flow_checked(b.network, lib, re4).take_or_raise();
         wire.add(f4.metrics.wirelength, f0.metrics.wirelength);
         std::printf("%-8s | %10.1f %10.1f | %10.1f %10.1f | %+6.1f%%\n", b.name.c_str(),
                     f0.metrics.chip_area, f0.metrics.wirelength, f4.metrics.chip_area,

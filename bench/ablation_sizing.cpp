@@ -25,7 +25,7 @@ int main() {
         if (b.network.logic_node_count() > 700) continue;
         FlowOptions opts;
         opts.objective = MapObjective::Delay;
-        FlowResult flow = run_lily_flow(b.network, lib, opts);
+        FlowResult flow = run_lily_flow_checked(b.network, lib, opts).take_or_raise();
 
         MappedPlacementView view = make_placement_view(flow.netlist, lib);
         view.netlist.pad_positions = flow.pad_positions;

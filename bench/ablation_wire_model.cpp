@@ -26,8 +26,8 @@ int main() {
         hp.lily.wire_model = WireModel::SteinerHpwl;
         FlowOptions mst;
         mst.lily.wire_model = WireModel::SpanningTree;
-        const FlowResult fh = run_lily_flow(b.network, lib, hp);
-        const FlowResult fm = run_lily_flow(b.network, lib, mst);
+        const FlowResult fh = run_lily_flow_checked(b.network, lib, hp).take_or_raise();
+        const FlowResult fm = run_lily_flow_checked(b.network, lib, mst).take_or_raise();
         wire.add(fm.metrics.wirelength, fh.metrics.wirelength);
         std::printf("%-8s | %10.1f %10.1f | %10.1f %10.1f | %+6.1f%%\n", b.name.c_str(),
                     fh.metrics.chip_area, fh.metrics.wirelength, fm.metrics.chip_area,

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     std::vector<std::pair<std::string, Network>> workloads;
     const std::string dir = std::string(LILY_SOURCE_DIR) + "/examples/circuits/";
     for (const char* name : {"decoder3", "full_adder", "mux4", "parity8"}) {
-        workloads.emplace_back(name, read_blif_file(dir + name + ".blif"));
+        workloads.emplace_back(name, read_blif_file_checked(dir + name + ".blif").take_or_raise());
     }
     const std::vector<unsigned> sizes =
         quick ? std::vector<unsigned>{120} : std::vector<unsigned>{120, 400};

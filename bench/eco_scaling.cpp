@@ -186,8 +186,10 @@ int main(int argc, char** argv) {
         area_qor.add(mi.cell_area, mb.cell_area);
 
         row.equivalent =
-            equivalent_random(state.net, state.flow.netlist.to_network(lib), 8, 7) &&
-            equivalent_random(state.net, full.value().netlist.to_network(lib), 8, 7);
+            equivalent_random_checked(state.net, state.flow.netlist.to_network(lib), 8, 7)
+                .take_or_raise() &&
+            equivalent_random_checked(state.net, full.value().netlist.to_network(lib), 8, 7)
+                .take_or_raise();
         all_equivalent = all_equivalent && row.equivalent;
 
         std::fprintf(stderr,

@@ -86,13 +86,16 @@ int main() {
             const MapResult base = BaseMapper(lib).map(sub.graph);
             FlowOptions fopts;
             const FlowResult base_flow =
-                run_backend(base.netlist, lib, fopts, PadsInRegion{pad_pos, region});
+                run_backend_checked(base.netlist, lib, fopts, PadsInRegion{pad_pos, region})
+                    .take_or_raise();
 
             // Lily with the same pads.
             const LilyOptions lopts;
-            const LilyResult lily = LilyMapper(lib).map(sub.graph, lopts, pad_pos);
+            const LilyResult lily =
+                LilyMapper(lib).map_checked(sub.graph, lopts, pad_pos).take_or_raise();
             const FlowResult lily_flow =
-                run_backend(lily.netlist, lib, fopts, PadsInRegion{pad_pos, region});
+                run_backend_checked(lily.netlist, lib, fopts, PadsInRegion{pad_pos, region})
+                    .take_or_raise();
 
             std::printf("%-2u %-9s | %8zu %10.2f %10.2f | %8zu %10.2f %10.2f\n", k,
                         spread ? "spread" : "clustered",

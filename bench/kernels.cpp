@@ -11,7 +11,7 @@
 //                  positions from the CSR view, bound them, then take the
 //                  Manhattan median of the rectangle set (the Lily wire
 //                  model's geometric core)
-//   dp_scan        the full Lily DP candidate scan (LilyMapper::map on the
+//   dp_scan        the full Lily DP candidate scan (LilyMapper::map_checked on the
 //                  same subject graph, single thread)
 //
 // Each kernel reports best-of-rep wall milliseconds per sweep plus the
@@ -149,10 +149,10 @@ KernelReport bench_rect_assembly(const SubjectGraph& g, int reps) {
 
 KernelReport bench_dp_scan(const SubjectGraph& g, const Library& lib, int reps) {
     const LilyMapper mapper(lib);
-    // The DP allocates its solution arrays per map() call by design; the
+    // The DP allocates its solution arrays per map_checked() call by design; the
     // interesting number here is the wall time, not the allocation delta.
     return run_kernel("dp_scan", g.size(), reps, [&] {
-        const LilyResult res = mapper.map(g);
+        const LilyResult res = mapper.map_checked(g).take_or_raise();
         return res.total_area + res.estimated_wirelength;
     });
 }

@@ -61,16 +61,17 @@ int main(int argc, char** argv) {
     }
 
     try {
-        const Network net = read_blif_file(circuit_path);
-        const Library lib = lib_path.empty() ? load_msu_big() : read_genlib_file(lib_path);
+        const Network net = read_blif_file_checked(circuit_path).take_or_raise();
+        const Library lib =
+            lib_path.empty() ? load_msu_big() : read_genlib_file_checked(lib_path).take_or_raise();
         std::printf("circuit %s: %zu PIs, %zu POs, %zu nodes; library %s (%zu gates)\n",
                     net.name().c_str(), net.inputs().size(), net.outputs().size(),
                     net.logic_node_count(), lib.name().c_str(), lib.size());
 
         FlowOptions opts;
         opts.objective = delay ? MapObjective::Delay : MapObjective::Area;
-        FlowResult result = mapper == "base" ? run_baseline_flow(net, lib, opts)
-                                             : run_lily_flow(net, lib, opts);
+        const FlowKind kind = mapper == "base" ? FlowKind::Baseline : FlowKind::Lily;
+        FlowResult result = run_flow_checked(kind, net, lib, opts).take_or_raise();
 
         if (buffer_limit >= 2) {
             FanoutOptOptions fo;
@@ -81,7 +82,9 @@ int main(int argc, char** argv) {
                         r.nets_split);
         }
 
-        const bool ok = equivalent_random(net, result.netlist.to_network(lib), 32, 2024);
+        const bool ok =
+            equivalent_random_checked(net, result.netlist.to_network(lib), 32, 2024)
+                .take_or_raise();
         std::printf("mapped: %zu gates, cell %.3f mm^2, chip %.3f mm^2, wire %.1f mm, "
                     "delay %.2f ns — equivalence %s\n",
                     result.netlist.gate_count(), result.metrics.cell_area_mm2(),

@@ -42,7 +42,9 @@ constexpr const char* kFullAdderBlif = R"(.model full_adder
 
 int main(int argc, char** argv) {
     // 1. Load a circuit.
-    const Network net = argc > 1 ? read_blif_file(argv[1]) : read_blif(kFullAdderBlif);
+    const Network net =
+        (argc > 1 ? read_blif_file_checked(argv[1]) : read_blif_checked(kFullAdderBlif))
+            .take_or_raise();
     std::printf("circuit '%s': %zu inputs, %zu outputs, %zu logic nodes, depth %zu\n",
                 net.name().c_str(), net.inputs().size(), net.outputs().size(),
                 net.logic_node_count(), net.depth());
@@ -63,13 +65,15 @@ int main(int argc, char** argv) {
                 base.total_area);
 
     // ...and layout-driven (Lily).
-    const LilyResult lily = LilyMapper(lib).map(sub.graph);
+    const LilyResult lily = LilyMapper(lib).map_checked(sub.graph).take_or_raise();
     std::printf("lily mapping:     %zu gates, area %.1f, estimated wire %.1f\n",
                 lily.netlist.gate_count(), lily.total_area, lily.estimated_wirelength);
 
     // 5. Verify equivalence by 64-way random simulation.
-    const bool base_ok = equivalent_random(net, base.netlist.to_network(lib), 32, 1234);
-    const bool lily_ok = equivalent_random(net, lily.netlist.to_network(lib), 32, 1234);
+    const bool base_ok =
+        equivalent_random_checked(net, base.netlist.to_network(lib), 32, 1234).take_or_raise();
+    const bool lily_ok =
+        equivalent_random_checked(net, lily.netlist.to_network(lib), 32, 1234).take_or_raise();
     std::printf("equivalence: baseline %s, lily %s\n", base_ok ? "PASS" : "FAIL",
                 lily_ok ? "PASS" : "FAIL");
 

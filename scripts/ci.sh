@@ -25,6 +25,15 @@ run cmake --build build-ci-sanitize -j "$JOBS"
 run env -C build-ci-sanitize LILY_CHECK_LEVEL=paranoid \
     ctest --output-on-failure -j "$JOBS"
 
+# ---- Example programs (sanitized build) --------------------------------
+# The examples are the documented entry points of the library API; each
+# must run to completion (exit 0) under ASan+UBSan. None writes a file.
+for example in quickstart area_flow timing_flow placement_gallery; do
+  run "build-ci-sanitize/examples/$example"
+done
+run build-ci-sanitize/examples/map_blif examples/circuits/parity8.blif \
+    --lib lib/msu_big.genlib
+
 # ---- lily_lint over the example circuits (both libraries) --------------
 LINT=build-ci-sanitize/src/check/lily_lint
 for blif in examples/circuits/*.blif; do

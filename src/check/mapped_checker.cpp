@@ -86,7 +86,13 @@ CheckReport MappedChecker::check_against(const MappedNetlist& m, const Network& 
                       std::to_string(reference.outputs().size()));
         return rep;
     }
-    if (!equivalent_random(reference, m.to_network(*lib_), opts_.sim_blocks, opts_.sim_seed)) {
+    const StatusOr<bool> equivalent = equivalent_random_checked(
+        reference, m.to_network(*lib_), opts_.sim_blocks, opts_.sim_seed);
+    if (!equivalent.is_ok()) {
+        rep.error(CheckStage::Mapped, kNoCheckNode,
+                  "PI/PO interface mismatch with reference network: " +
+                      equivalent.status().message());
+    } else if (!equivalent.value()) {
         rep.error(CheckStage::Mapped, kNoCheckNode,
                   "mapped netlist not equivalent to the reference network "
                   "(random simulation, " +

@@ -151,7 +151,13 @@ CheckReport SubjectChecker::check_against_source(const SubjectGraph& g,
                       std::to_string(source.outputs().size()));
         return rep;
     }
-    if (!equivalent_random(source, g.to_network(), opts_.sim_blocks, opts_.sim_seed)) {
+    const StatusOr<bool> equivalent =
+        equivalent_random_checked(source, g.to_network(), opts_.sim_blocks, opts_.sim_seed);
+    if (!equivalent.is_ok()) {
+        rep.error(CheckStage::Subject, kNoCheckNode,
+                  "PI/PO interface mismatch with source network: " +
+                      equivalent.status().message());
+    } else if (!equivalent.value()) {
         rep.error(CheckStage::Subject, kNoCheckNode,
                   "decomposition not equivalent to the source network (random simulation, " +
                       std::to_string(opts_.sim_blocks * 64) + " vectors)");

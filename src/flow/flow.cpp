@@ -345,13 +345,6 @@ StatusOr<FlowResult> run_backend_checked(const MappedNetlist& mapped, const Libr
     return run_backend_stages(exec, mapped, lib, std::move(pads), std::move(seed_positions));
 }
 
-FlowResult run_backend(const MappedNetlist& mapped, const Library& lib, const FlowOptions& opts,
-                       std::optional<PadsInRegion> pads,
-                       std::optional<std::vector<Point>> seed_positions) {
-    return run_backend_checked(mapped, lib, opts, std::move(pads), std::move(seed_positions))
-        .take_or_raise();
-}
-
 StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library& lib,
                                                const FlowOptions& opts) {
     // Pipeline 1: map first (interconnect-blind), lay out afterwards. The
@@ -387,10 +380,6 @@ StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library
     }));
     LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, res->netlist));
     return run_backend_stages(exec, res->netlist, lib, std::nullopt, std::nullopt);
-}
-
-FlowResult run_baseline_flow(const Network& net, const Library& lib, const FlowOptions& opts) {
-    return run_baseline_flow_checked(net, lib, opts).take_or_raise();
 }
 
 StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& lib,
@@ -502,10 +491,6 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     return out;
 }
 
-FlowResult run_lily_flow(const Network& net, const Library& lib, const FlowOptions& opts) {
-    return run_lily_flow_checked(net, lib, opts).take_or_raise();
-}
-
 StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Library& lib,
                                                     const FlowOptions& opts,
                                                     double reference_wirelength) {
@@ -543,9 +528,30 @@ StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Li
     return best;
 }
 
-FlowResult run_lily_flow_adaptive(const Network& net, const Library& lib,
-                                  const FlowOptions& opts, double reference_wirelength) {
-    return run_lily_flow_adaptive_checked(net, lib, opts, reference_wirelength).take_or_raise();
+const char* to_string(FlowKind kind) {
+    switch (kind) {
+        case FlowKind::Baseline: return "baseline";
+        case FlowKind::Lily: return "lily";
+        case FlowKind::Adaptive: return "adaptive";
+    }
+    return "?";
+}
+
+std::optional<FlowKind> flow_kind_from_name(std::string_view name) {
+    for (const FlowKind kind : {FlowKind::Baseline, FlowKind::Lily, FlowKind::Adaptive}) {
+        if (name == to_string(kind)) return kind;
+    }
+    return std::nullopt;
+}
+
+StatusOr<FlowResult> run_flow_checked(FlowKind kind, const Network& net, const Library& lib,
+                                      const FlowOptions& opts) {
+    switch (kind) {
+        case FlowKind::Baseline: return run_baseline_flow_checked(net, lib, opts);
+        case FlowKind::Adaptive: return run_lily_flow_adaptive_checked(net, lib, opts);
+        case FlowKind::Lily: break;
+    }
+    return run_lily_flow_checked(net, lib, opts);
 }
 
 StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
@@ -592,17 +598,7 @@ StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
     });
     LILY_RETURN_IF_ERROR(blif_parsed);
 
-    StatusOr<FlowResult> result = [&]() -> StatusOr<FlowResult> {
-        switch (kind) {
-            case FlowKind::Baseline:
-                return run_baseline_flow_checked(net->value(), lib->value(), opts);
-            case FlowKind::Adaptive:
-                return run_lily_flow_adaptive_checked(net->value(), lib->value(), opts);
-            case FlowKind::Lily:
-                break;
-        }
-        return run_lily_flow_checked(net->value(), lib->value(), opts);
-    }();
+    StatusOr<FlowResult> result = run_flow_checked(kind, net->value(), lib->value(), opts);
     if (!result.is_ok()) {
         Status bad = result.status();
         return bad.with_context(flow_label::kFromFiles);

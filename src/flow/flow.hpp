@@ -16,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "check/check.hpp"
 #include "flow/diagnostics.hpp"
@@ -146,13 +147,9 @@ struct FlowResult {
     FlowDiagnostics diagnostics;
 };
 
-/// Pipeline 1: interconnect-blind mapping, layout afterwards (Status form).
+/// Pipeline 1: interconnect-blind mapping, layout afterwards.
 StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library& lib,
                                                const FlowOptions& opts = {});
-
-/// Pipeline 1, throwing wrapper.
-FlowResult run_baseline_flow(const Network& net, const Library& lib,
-                             const FlowOptions& opts = {});
 
 /// Optional tap for the flow's intermediate artifacts. FlowResult carries
 /// only what metrics reporting needs; the incremental (ECO) pipeline also
@@ -171,17 +168,14 @@ struct FlowCapture {
 };
 
 /// Pipeline 2: layout-driven (Lily) mapping, with the graceful-degradation
-/// ladder (Status form). A Lily mapping failure falls back to the wire-blind
-/// baseline mapping; routing budget exhaustion falls back to HPWL metrics;
-/// both are recorded in FlowResult::diagnostics. A non-OK return means no
-/// rung of the ladder could produce a usable result. `capture`, when
-/// non-null, receives the intermediate stage artifacts on success.
+/// ladder. A Lily mapping failure falls back to the wire-blind baseline
+/// mapping; routing budget exhaustion falls back to HPWL metrics; both are
+/// recorded in FlowResult::diagnostics. A non-OK return means no rung of
+/// the ladder could produce a usable result. `capture`, when non-null,
+/// receives the intermediate stage artifacts on success.
 StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& lib,
                                            const FlowOptions& opts = {},
                                            FlowCapture* capture = nullptr);
-
-/// Pipeline 2, throwing wrapper.
-FlowResult run_lily_flow(const Network& net, const Library& lib, const FlowOptions& opts = {});
 
 /// The paper's Section 5 remedy for circuits where the dynamic wire length
 /// estimation misfires (their misex1): "repeat the mapping with reduced
@@ -196,11 +190,6 @@ StatusOr<FlowResult> run_lily_flow_adaptive_checked(const Network& net, const Li
                                                     const FlowOptions& opts = {},
                                                     double reference_wirelength = 0.0);
 
-/// Throwing wrapper for the adaptive pipeline.
-FlowResult run_lily_flow_adaptive(const Network& net, const Library& lib,
-                                  const FlowOptions& opts = {},
-                                  double reference_wirelength = 0.0);
-
 /// Pad positions expressed relative to the region they were assigned in, so
 /// the back end can rescale them onto the (differently sized) mapped
 /// region while keeping the boundary assignment.
@@ -214,19 +203,27 @@ struct PadsInRegion {
 /// anchors the global placement — this is how Lily's constructive
 /// mapPositions carry through to detailed placement, per the paper's
 /// integrated pipeline. The placer still balances and legalizes, so a poor
-/// seed degrades gracefully.
-FlowResult run_backend(const MappedNetlist& mapped, const Library& lib, const FlowOptions& opts,
-                       std::optional<PadsInRegion> pads = std::nullopt,
-                       std::optional<std::vector<Point>> seed_positions = std::nullopt);
-
-/// Status form of run_backend (diagnostics carried on the result).
+/// seed degrades gracefully. Diagnostics are carried on the result.
 StatusOr<FlowResult> run_backend_checked(
     const MappedNetlist& mapped, const Library& lib, const FlowOptions& opts,
     std::optional<PadsInRegion> pads = std::nullopt,
     std::optional<std::vector<Point>> seed_positions = std::nullopt);
 
-/// Which pipeline run_flow_from_files drives.
-enum class FlowKind : std::uint8_t { Baseline, Lily, Adaptive };
+/// Which pipeline run_flow_checked drives. The values are the job wire
+/// format's flow-kind byte (serve/protocol.cpp), so they must not change.
+enum class FlowKind : std::uint8_t { Baseline = 0, Lily = 1, Adaptive = 2 };
+
+/// "baseline", "lily" or "adaptive".
+const char* to_string(FlowKind kind);
+
+/// Inverse of to_string; nullopt for any other name.
+std::optional<FlowKind> flow_kind_from_name(std::string_view name);
+
+/// Run the pipeline `kind` names: run_baseline_flow_checked,
+/// run_lily_flow_checked or run_lily_flow_adaptive_checked (with the
+/// baseline run as its wirelength reference).
+StatusOr<FlowResult> run_flow_checked(FlowKind kind, const Network& net, const Library& lib,
+                                      const FlowOptions& opts = {});
 
 /// File-to-metrics convenience entry: parse the genlib library and the BLIF
 /// netlist (both recorded as flow stages, including gates the library

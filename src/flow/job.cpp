@@ -1,7 +1,6 @@
 #include "flow/job.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -13,15 +12,6 @@
 #include "util/crash.hpp"
 
 namespace lily {
-
-const char* to_string(JobFlowKind kind) {
-    switch (kind) {
-        case JobFlowKind::Baseline: return "baseline";
-        case JobFlowKind::Lily: return "lily";
-        case JobFlowKind::Adaptive: return "adaptive";
-    }
-    return "?";
-}
 
 const char* to_string(JobTier tier) {
     return tier == JobTier::Full ? "full" : "degraded";
@@ -66,15 +56,6 @@ std::uint64_t fnv1a64(std::string_view s) {
 
 ArtifactCache& ArtifactCache::instance() {
     static ArtifactCache cache;
-    static const bool configured = [] {
-        const char* env = std::getenv("LILY_ARTIFACT_CACHE");
-        if (env != nullptr &&
-            (std::string_view(env) == "off" || std::string_view(env) == "0")) {
-            cache.set_enabled(false);
-        }
-        return true;
-    }();
-    (void)configured;
     return cache;
 }
 
@@ -94,23 +75,20 @@ void ArtifactCache::evict_over_caps() {
 
 StatusOr<std::shared_ptr<const Network>> ArtifactCache::network_for(
     std::string_view blif_text, CacheProbe* probe) {
-    if (probe != nullptr) *probe = CacheProbe::Skipped;
     const std::uint64_t key = fnv1a64(blif_text);
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (enabled_) {
-            auto range = entries_.equal_range(key);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second.network != nullptr && it->second.text == blif_text) {
-                    ++hits_;
-                    touch(it->second);
-                    if (probe != nullptr) *probe = CacheProbe::Hit;
-                    return it->second.network;
-                }
+        auto range = entries_.equal_range(key);
+        for (auto it = range.first; it != range.second; ++it) {
+            if (it->second.network != nullptr && it->second.text == blif_text) {
+                ++hits_;
+                touch(it->second);
+                if (probe != nullptr) *probe = CacheProbe::Hit;
+                return it->second.network;
             }
-            ++misses_;
-            if (probe != nullptr) *probe = CacheProbe::Miss;
         }
+        ++misses_;
+        if (probe != nullptr) *probe = CacheProbe::Miss;
     }
     // Parse outside the lock: two threads missing on the same text parse
     // twice rather than serialize; the re-check below keeps one copy.
@@ -119,7 +97,6 @@ StatusOr<std::shared_ptr<const Network>> ArtifactCache::network_for(
     auto shared = std::make_shared<const Network>(std::move(parsed.value()));
 
     std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) return StatusOr<std::shared_ptr<const Network>>(std::move(shared));
     auto range = entries_.equal_range(key);
     for (auto it = range.first; it != range.second; ++it) {
         if (it->second.network != nullptr && it->second.text == blif_text) {
@@ -138,23 +115,20 @@ StatusOr<std::shared_ptr<const Network>> ArtifactCache::network_for(
 
 StatusOr<std::shared_ptr<const Library>> ArtifactCache::library_for(
     std::string_view genlib_text, CacheProbe* probe) {
-    if (probe != nullptr) *probe = CacheProbe::Skipped;
     const std::uint64_t key = fnv1a64(genlib_text);
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (enabled_) {
-            auto range = entries_.equal_range(key);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second.library != nullptr && it->second.text == genlib_text) {
-                    ++hits_;
-                    touch(it->second);
-                    if (probe != nullptr) *probe = CacheProbe::Hit;
-                    return it->second.library;
-                }
+        auto range = entries_.equal_range(key);
+        for (auto it = range.first; it != range.second; ++it) {
+            if (it->second.library != nullptr && it->second.text == genlib_text) {
+                ++hits_;
+                touch(it->second);
+                if (probe != nullptr) *probe = CacheProbe::Hit;
+                return it->second.library;
             }
-            ++misses_;
-            if (probe != nullptr) *probe = CacheProbe::Miss;
         }
+        ++misses_;
+        if (probe != nullptr) *probe = CacheProbe::Miss;
     }
     // The cached Library carries the canonical name "genlib" regardless of
     // which job parsed it first: the name feeds only the Verilog writer's
@@ -165,7 +139,6 @@ StatusOr<std::shared_ptr<const Library>> ArtifactCache::library_for(
     auto shared = std::make_shared<const Library>(std::move(parsed.value()));
 
     std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_) return StatusOr<std::shared_ptr<const Library>>(std::move(shared));
     auto range = entries_.equal_range(key);
     for (auto it = range.first; it != range.second; ++it) {
         if (it->second.library != nullptr && it->second.text == genlib_text) {
@@ -198,16 +171,6 @@ void ArtifactCache::clear() {
     text_bytes_ = 0;
     hits_ = 0;
     misses_ = 0;
-}
-
-void ArtifactCache::set_enabled(bool enabled) {
-    std::lock_guard<std::mutex> lock(mu_);
-    enabled_ = enabled;
-}
-
-bool ArtifactCache::enabled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return enabled_;
 }
 
 void ArtifactCache::set_capacity(std::size_t max_entries, std::size_t max_text_bytes) {
@@ -325,14 +288,7 @@ JobOutcome run_flow_job(const JobSpec& spec) {
     crash_set_stage("flow");
     StatusOr<FlowResult> flow = [&]() -> StatusOr<FlowResult> {
         try {
-            switch (spec.options.kind) {
-                case JobFlowKind::Baseline:
-                    return run_baseline_flow_checked(network, library, opts);
-                case JobFlowKind::Adaptive:
-                    return run_lily_flow_adaptive_checked(network, library, opts);
-                case JobFlowKind::Lily: break;
-            }
-            return run_lily_flow_checked(network, library, opts);
+            return run_flow_checked(spec.options.kind, network, library, opts);
         } catch (const std::exception& e) {
             // The checked entry points reserve exceptions for invariant
             // violations (CheckLevel); a serving job folds those into the

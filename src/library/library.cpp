@@ -110,12 +110,6 @@ StatusOr<GateId> Library::add_gate_checked(std::string name, double area,
     return id;
 }
 
-GateId Library::add_gate(std::string name, double area, const std::string& equation,
-                         std::vector<PinTiming> pin_specs, std::size_t max_patterns) {
-    return add_gate_checked(std::move(name), area, equation, std::move(pin_specs), max_patterns)
-        .take_or_raise();
-}
-
 void Library::validate() const {
     if (inverter_ == kNullGate) throw std::logic_error("library: no inverter gate");
     if (nand2_ == kNullGate) throw std::logic_error("library: no 2-input NAND gate");
@@ -288,20 +282,12 @@ StatusOr<Library> read_genlib_checked(std::string_view text, std::string library
     return lib;
 }
 
-Library read_genlib(std::string_view text, std::string library_name) {
-    return read_genlib_checked(text, std::move(library_name)).take_or_raise();
-}
-
 StatusOr<Library> read_genlib_file_checked(const std::string& path) {
     std::ifstream in(path);
     if (!in) return Status(StatusCode::ParseError, "genlib: cannot open " + path);
     std::ostringstream buf;
     buf << in.rdbuf();
     return read_genlib_checked(buf.str(), path);
-}
-
-Library read_genlib_file(const std::string& path) {
-    return read_genlib_file_checked(path).take_or_raise();
 }
 
 }  // namespace lily

@@ -101,10 +101,6 @@ public:
                                       std::vector<PinTiming> pin_specs,
                                       std::size_t max_patterns = 64);
 
-    /// Throwing wrapper around add_gate_checked (std::runtime_error).
-    GateId add_gate(std::string name, double area, const std::string& equation,
-                    std::vector<PinTiming> pin_specs, std::size_t max_patterns = 64);
-
     /// Check library invariants: base gates exist, every pattern's truth
     /// table equals its gate function, pin counts line up. Throws
     /// std::logic_error on violation.
@@ -125,13 +121,7 @@ private:
 StatusOr<Library> read_genlib_checked(std::string_view text,
                                       std::string library_name = "genlib");
 
-/// Throwing wrapper: std::runtime_error with a line number.
-Library read_genlib(std::string_view text, std::string library_name = "genlib");
-
 /// Parse a genlib file from disk (Status form).
 StatusOr<Library> read_genlib_file_checked(const std::string& path);
-
-/// Throwing wrapper for file loads.
-Library read_genlib_file(const std::string& path);
 
 }  // namespace lily

@@ -101,13 +101,13 @@ std::string_view msu_tiny_genlib() { return kTinyGenlib; }
 std::string_view msu_big_genlib() { return kBigGenlib; }
 
 Library load_msu_tiny() {
-    Library lib = read_genlib(msu_tiny_genlib(), "msu_tiny");
+    Library lib = read_genlib_checked(msu_tiny_genlib(), "msu_tiny").take_or_raise();
     lib.validate();
     return lib;
 }
 
 Library load_msu_big() {
-    Library lib = read_genlib(msu_big_genlib(), "msu_big");
+    Library lib = read_genlib_checked(msu_big_genlib(), "msu_big").take_or_raise();
     lib.validate();
     return lib;
 }

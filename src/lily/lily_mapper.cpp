@@ -615,11 +615,6 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     return result;
 }
 
-LilyResult LilyMapper::map(const SubjectGraph& g, const LilyOptions& opts,
-                           std::optional<std::vector<Point>> pad_positions) const {
-    return map_checked(g, opts, std::move(pad_positions)).take_or_raise();
-}
-
 StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const LilyRemapSeed& seed,
                                                const LilyOptions& opts) const {
     if (seed.prior == nullptr) {

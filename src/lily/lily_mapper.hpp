@@ -161,10 +161,6 @@ public:
         const SubjectGraph& g, const LilyOptions& opts = {},
         std::optional<std::vector<Point>> pad_positions = std::nullopt) const;
 
-    /// Throwing wrapper around map_checked.
-    LilyResult map(const SubjectGraph& g, const LilyOptions& opts = {},
-                   std::optional<std::vector<Point>> pad_positions = std::nullopt) const;
-
     /// Cone-scoped incremental re-mapping for ECO deltas. `g` must extend the
     /// graph `seed.prior` was mapped against append-only (ids below
     /// seed.prior_subject_size unchanged). Prior DP solutions, life states,

@@ -249,10 +249,6 @@ StatusOr<Network> read_blif_file_checked(const std::string& path) {
     return net;
 }
 
-Network read_blif_file(const std::string& path) {
-    return read_blif_file_checked(path).take_or_raise();
-}
-
 std::string write_blif(const Network& net) {
     std::ostringstream out;
     out << ".model " << net.name() << "\n";

@@ -22,15 +22,12 @@ namespace lily {
 /// terminator is treated as truncated input.
 StatusOr<Network> read_blif_checked(std::string_view text);
 
-/// Throwing wrapper: std::runtime_error with a line number on malformed
-/// input.
+/// read_blif_checked(text).take_or_raise(). Kept only because the
+/// benchmark program (perfbench/) calls it; new code uses the Status form.
 Network read_blif(std::string_view text);
 
 /// Parse from a file path (Status form).
 StatusOr<Network> read_blif_file_checked(const std::string& path);
-
-/// Throwing wrapper for file loads.
-Network read_blif_file(const std::string& path);
 
 /// Serialize; the output round-trips through read_blif.
 std::string write_blif(const Network& net);

@@ -75,11 +75,4 @@ StatusOr<bool> equivalent_random_checked(const Network& a, const Network& b,
     return true;
 }
 
-bool equivalent_random(const Network& a, const Network& b, std::size_t blocks,
-                       std::uint64_t seed) {
-    StatusOr<bool> eq = equivalent_random_checked(a, b, blocks, seed);
-    if (!eq.is_ok()) throw std::logic_error(eq.status().to_string());
-    return eq.value();
-}
-
 }  // namespace lily

@@ -33,10 +33,4 @@ std::vector<std::uint64_t> simulate_random(const Network& net, std::size_t block
 StatusOr<bool> equivalent_random_checked(const Network& a, const Network& b,
                                          std::size_t blocks, std::uint64_t seed);
 
-/// Throwing wrapper: true iff equivalent on every sampled vector. A PI/PO
-/// interface mismatch raises std::logic_error (it historically returned
-/// false, which let interface bugs masquerade as miscompares).
-bool equivalent_random(const Network& a, const Network& b, std::size_t blocks,
-                       std::uint64_t seed);
-
 }  // namespace lily

@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,16 +91,12 @@ bool parse_args(int argc, char** argv, ClientArgs& out) {
             out.socket_path = arg.substr(9);
         } else if (arg.rfind("--flow=", 0) == 0) {
             const std::string kind = arg.substr(7);
-            if (kind == "lily") {
-                out.options.kind = JobFlowKind::Lily;
-            } else if (kind == "baseline") {
-                out.options.kind = JobFlowKind::Baseline;
-            } else if (kind == "adaptive") {
-                out.options.kind = JobFlowKind::Adaptive;
-            } else {
+            const std::optional<FlowKind> parsed = flow_kind_from_name(kind);
+            if (!parsed.has_value()) {
                 std::fprintf(stderr, "lily_client: unknown flow kind '%s'\n", kind.c_str());
                 return false;
             }
+            out.options.kind = *parsed;
         } else if (arg.rfind("--objective=", 0) == 0) {
             const std::string obj = arg.substr(12);
             if (obj == "area") {

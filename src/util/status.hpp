@@ -4,9 +4,10 @@
 // rejecting its input, a solver that will not converge, a stage running out
 // of its wall-clock budget) from programming errors. Recoverable failures
 // travel as `Status` / `StatusOr<T>` values so callers can climb the
-// graceful-degradation ladder (flow/flow.hpp) instead of unwinding; the
-// thin `*_checked` wrappers keep the historical throwing API for callers
-// that want exceptions.
+// graceful-degradation ladder (flow/flow.hpp) instead of unwinding. Every
+// fallible entry point has exactly one form, the `*_checked` one returning
+// Status / StatusOr; a caller that wants an exception instead calls
+// `take_or_raise()` on the result.
 #pragma once
 
 #include <optional>
@@ -53,10 +54,10 @@ public:
     /// "parse-error: blif:12: bad cube" (or "ok").
     std::string to_string() const;
 
-    /// Throw the exception type the historical API used for this code:
-    /// InvariantViolation -> std::logic_error, everything else ->
-    /// std::runtime_error. No-op free pass is a bug: calling raise() on an
-    /// OK status throws std::logic_error.
+    /// Throw the exception type for this code: InvariantViolation ->
+    /// std::logic_error, everything else -> std::runtime_error. No-op free
+    /// pass is a bug: calling raise() on an OK status throws
+    /// std::logic_error.
     [[noreturn]] void raise() const;
 
 private:

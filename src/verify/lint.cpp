@@ -10,84 +10,8 @@ namespace lily {
 
 namespace {
 
-/// Iterative Tarjan SCC over the live fanin edges. Returns true when any
-/// cycle (SCC of size > 1, or a self-loop) was reported — the downstream
-/// constant pass is skipped then, because AIG lowering of a cyclic graph
-/// reads garbage.
-bool report_cycles(const Network& net, CheckReport& report) {
-    const std::size_t n = net.node_count();
-    constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-    std::vector<std::uint32_t> index(n, kUnvisited);
-    std::vector<std::uint32_t> lowlink(n, 0);
-    std::vector<bool> on_stack(n, false);
-    std::vector<NodeId> stack;
-    std::uint32_t next_index = 0;
-    bool found = false;
-
-    struct Frame {
-        NodeId v;
-        std::size_t edge;
-    };
-    std::vector<Frame> frames;
-
-    for (NodeId root = 0; root < n; ++root) {
-        if (index[root] != kUnvisited || net.node(root).dead) continue;
-        frames.push_back({root, 0});
-        while (!frames.empty()) {
-            Frame& f = frames.back();
-            const Node& node = net.node(f.v);
-            if (f.edge == 0) {
-                index[f.v] = lowlink[f.v] = next_index++;
-                stack.push_back(f.v);
-                on_stack[f.v] = true;
-            }
-            bool descended = false;
-            while (f.edge < node.fanins.size()) {
-                const NodeId w = node.fanins[f.edge++];
-                if (w >= n || net.node(w).dead) continue;  // reported elsewhere
-                if (w == f.v) {
-                    report.error(CheckStage::Verify, f.v,
-                                 "combinational self-loop on node '" + node.name + "'");
-                    found = true;
-                    continue;
-                }
-                if (index[w] == kUnvisited) {
-                    frames.push_back({w, 0});
-                    descended = true;
-                    break;
-                }
-                if (on_stack[w]) lowlink[f.v] = std::min(lowlink[f.v], index[w]);
-            }
-            if (descended) continue;
-            if (lowlink[f.v] == index[f.v]) {
-                std::vector<NodeId> scc;
-                for (;;) {
-                    const NodeId w = stack.back();
-                    stack.pop_back();
-                    on_stack[w] = false;
-                    scc.push_back(w);
-                    if (w == f.v) break;
-                }
-                if (scc.size() > 1) {
-                    std::string msg = "combinational cycle through " +
-                                      std::to_string(scc.size()) + " nodes:";
-                    std::sort(scc.begin(), scc.end());
-                    for (std::size_t i = 0; i < scc.size() && i < 6; ++i) {
-                        msg += " '" + net.node(scc[i]).name + "'";
-                    }
-                    if (scc.size() > 6) msg += " ...";
-                    report.error(CheckStage::Verify, scc.front(), msg);
-                    found = true;
-                }
-            }
-            const NodeId v = f.v;
-            frames.pop_back();
-            if (!frames.empty()) {
-                lowlink[frames.back().v] = std::min(lowlink[frames.back().v], lowlink[v]);
-            }
-        }
-    }
-    return found;
+std::size_t count_of(const std::vector<NodeId>& ids, NodeId id) {
+    return static_cast<std::size_t>(std::count(ids.begin(), ids.end(), id));
 }
 
 }  // namespace
@@ -96,33 +20,103 @@ CheckReport lint_network(const Network& net) {
     CheckReport report;
     const std::size_t n = net.node_count();
 
-    // Drivers and fanins must exist and be alive.
+    // Drivers must exist, be alive and carry the is_po_driver flag.
     bool structure_ok = true;
+    std::vector<bool> drives_po(n, false);
     for (const PrimaryOutput& po : net.outputs()) {
         if (po.driver == kNullNode || po.driver >= n) {
             report.error(CheckStage::Verify, kNoCheckNode,
                          "output '" + po.name + "' has no driver node");
             structure_ok = false;
-        } else if (net.node(po.driver).dead) {
+            continue;
+        }
+        drives_po[po.driver] = true;
+        if (net.node(po.driver).dead) {
             report.error(CheckStage::Verify, po.driver,
                          "output '" + po.name + "' is driven by dead node '" +
                              net.node(po.driver).name + "'");
             structure_ok = false;
+        } else if (!net.node(po.driver).is_po_driver) {
+            report.error(CheckStage::Verify, po.driver,
+                         "drives output '" + po.name + "' but its is_po_driver flag is unset");
         }
     }
+
+    // Node records and edges. Node ids are a topological order by
+    // construction (Network::add_node and apply_delta both enforce it), so
+    // every cycle has an edge from a node to a fanin at or after it.
+    bool cyclic = false;
     for (NodeId id = 0; id < n; ++id) {
         const Node& node = net.node(id);
-        if (node.dead || node.kind != NodeKind::Logic) continue;
-        for (const NodeId f : node.fanins) {
+        if (node.dead) continue;
+        if (node.name.empty()) report.error(CheckStage::Verify, id, "node has an empty name");
+        if (node.is_po_driver && !drives_po[id]) {
+            report.warning(CheckStage::Verify, id,
+                           "is_po_driver flag set on '" + node.name +
+                               "' but no output references it");
+        }
+        if (node.kind == NodeKind::PrimaryInput && !node.fanins.empty()) {
+            report.error(CheckStage::Verify, id, "primary input '" + node.name + "' has fanins");
+            structure_ok = false;
+        }
+        if (node.function.max_fanin_index() > node.fanins.size()) {
+            report.error(CheckStage::Verify, id,
+                         "node '" + node.name + "': SOP references fanin slot " +
+                             std::to_string(node.function.max_fanin_index() - 1) +
+                             " but the node has " + std::to_string(node.fanins.size()) +
+                             " fanins");
+            structure_ok = false;
+        }
+        for (std::size_t k = 0; k < node.fanins.size(); ++k) {
+            const NodeId f = node.fanins[k];
+            if (std::find(node.fanins.begin(), node.fanins.begin() + k, f) !=
+                node.fanins.begin() + k) {
+                continue;  // a repeated fanin was checked at its first slot
+            }
             if (f >= n) {
                 report.error(CheckStage::Verify, id,
                              "node '" + node.name + "' reads out-of-range fanin " +
                                  std::to_string(f));
                 structure_ok = false;
-            } else if (net.node(f).dead) {
+                continue;
+            }
+            if (net.node(f).dead) {
                 report.error(CheckStage::Verify, id,
                              "node '" + node.name + "' reads dead node '" +
                                  net.node(f).name + "'");
+                structure_ok = false;
+            }
+            if (f == id) {
+                report.error(CheckStage::Verify, id,
+                             "combinational self-loop on node '" + node.name + "'");
+                cyclic = true;
+            } else if (f > id) {
+                report.error(CheckStage::Verify, id,
+                             "combinational cycle: node '" + node.name + "' reads later node '" +
+                                 net.node(f).name + "'");
+                cyclic = true;
+            }
+            const std::size_t forward = count_of(node.fanins, f);
+            const std::size_t backward = count_of(net.node(f).fanouts, id);
+            if (forward != backward) {
+                report.error(CheckStage::Verify, id,
+                             "fanin/fanout asymmetry between '" + node.name + "' and '" +
+                                 net.node(f).name + "': " + std::to_string(forward) +
+                                 " fanin edge(s) vs " + std::to_string(backward) +
+                                 " fanout edge(s)");
+                structure_ok = false;
+            }
+        }
+        for (const NodeId fo : node.fanouts) {
+            if (fo >= n) {
+                report.error(CheckStage::Verify, id,
+                             "node '" + node.name + "' has out-of-range fanout " +
+                                 std::to_string(fo));
+                structure_ok = false;
+            } else if (count_of(net.node(fo).fanins, id) == 0) {
+                report.error(CheckStage::Verify, id,
+                             "fanout edge from '" + node.name + "' to '" + net.node(fo).name +
+                                 "' has no matching fanin edge");
                 structure_ok = false;
             }
         }
@@ -148,8 +142,6 @@ CheckReport lint_network(const Network& net) {
                          "output name '" + po.name + "' is declared more than once");
         }
     }
-
-    const bool cyclic = report_cycles(net, report);
 
     // Backward reachability from the POs over live fanin edges: anything
     // unreached computes nothing observable.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
 
@@ -7,14 +9,14 @@ namespace lily {
 namespace {
 
 TEST(Blif, ParseSimpleAnd) {
-    const Network n = read_blif(R"(
+    const Network n = read_blif_checked(R"(
 .model tiny
 .inputs a b
 .outputs f
 .names a b f
 11 1
 .end
-)");
+)").take_or_raise();
     EXPECT_EQ(n.name(), "tiny");
     EXPECT_EQ(n.inputs().size(), 2u);
     EXPECT_EQ(n.outputs().size(), 1u);
@@ -24,21 +26,21 @@ TEST(Blif, ParseSimpleAnd) {
 
 TEST(Blif, OffsetCubes) {
     // Rows with output 0 describe the off-set: f = NOT(a & !b).
-    const Network n = read_blif(R"(
+    const Network n = read_blif_checked(R"(
 .model offs
 .inputs a b
 .outputs f
 .names a b f
 10 0
 .end
-)");
+)").take_or_raise();
     const auto v = simulate_block(n, std::array<std::uint64_t, 2>{0b1100, 0b1010});
     // patterns (a,b): 00 -> 1, 01 -> 1, 10 -> 0, 11 -> 1
     EXPECT_EQ(v[n.outputs()[0].driver] & 0xF, 0b1011u);
 }
 
 TEST(Blif, DontCaresAndMultipleCubes) {
-    const Network n = read_blif(R"(
+    const Network n = read_blif_checked(R"(
 .model dc
 .inputs a b c
 .outputs f
@@ -46,7 +48,7 @@ TEST(Blif, DontCaresAndMultipleCubes) {
 1-- 1
 -11 1
 .end
-)");
+)").take_or_raise();
     std::array<std::uint64_t, 3> ins{};
     for (std::uint64_t p = 0; p < 8; ++p) {
         for (unsigned i = 0; i < 3; ++i) {
@@ -61,7 +63,7 @@ TEST(Blif, DontCaresAndMultipleCubes) {
 }
 
 TEST(Blif, ConstantTables) {
-    const Network n = read_blif(R"(
+    const Network n = read_blif_checked(R"(
 .model consts
 .inputs a
 .outputs one zero
@@ -69,7 +71,7 @@ TEST(Blif, ConstantTables) {
 1
 .names zero
 .end
-)");
+)").take_or_raise();
     const auto v = simulate_block(n, std::array<std::uint64_t, 1>{0});
     EXPECT_EQ(v[n.outputs()[0].driver], ~std::uint64_t{0});
     EXPECT_EQ(v[n.outputs()[1].driver], std::uint64_t{0});
@@ -77,7 +79,7 @@ TEST(Blif, ConstantTables) {
 
 TEST(Blif, ForwardReferencesResolved) {
     // 'mid' is used before its .names block appears.
-    const Network n = read_blif(R"(
+    const Network n = read_blif_checked(R"(
 .model fwd
 .inputs a b
 .outputs f
@@ -86,7 +88,7 @@ TEST(Blif, ForwardReferencesResolved) {
 .names a mid
 0 1
 .end
-)");
+)").take_or_raise();
     n.check();
     const auto v = simulate_block(n, std::array<std::uint64_t, 2>{0b1100, 0b1010});
     // f = !a & b. Per pattern p: a = bit p of 0b1100, b = bit p of 0b1010,
@@ -95,7 +97,7 @@ TEST(Blif, ForwardReferencesResolved) {
 }
 
 TEST(Blif, LineContinuationAndComments) {
-    const Network n = read_blif(R"(
+    const Network n = read_blif_checked(R"(
 # a comment
 .model cont
 .inputs a \
@@ -104,23 +106,25 @@ TEST(Blif, LineContinuationAndComments) {
 .names a b f
 11 1
 .end
-)");
+)").take_or_raise();
     EXPECT_EQ(n.inputs().size(), 2u);
     EXPECT_EQ(n.outputs().size(), 1u);
 }
 
+StatusCode blif_error(const std::string& text) { return read_blif_checked(text).status().code(); }
+
 TEST(Blif, ErrorsAreDiagnosed) {
-    EXPECT_THROW(read_blif(".model x\n.inputs a\n.outputs f\n.names a f\n2 1\n.end\n"),
-                 std::runtime_error);  // bad cube char
-    EXPECT_THROW(read_blif(".model x\n.inputs a\n.outputs f\n.end\n"),
-                 std::runtime_error);  // undefined output
-    EXPECT_THROW(read_blif(".model x\n.inputs a\n.outputs f\n.names a f\n1 1\n.names a f\n0 1\n.end\n"),
-                 std::runtime_error);  // doubly defined
-    EXPECT_THROW(read_blif(".model x\n.latch a b\n.end\n"), std::runtime_error);
-    EXPECT_THROW(read_blif(".model x\n.inputs a\n.outputs f\n.names a f\n11 1\n.end\n"),
-                 std::runtime_error);  // cube width mismatch
-    EXPECT_THROW(read_blif(".model x\n.inputs a\n.outputs f\n.names a f\n1 1\n0 0\n.end\n"),
-                 std::runtime_error);  // mixed on/off rows
+    const std::string head = ".model x\n.inputs a\n.outputs f\n";
+    EXPECT_EQ(blif_error(head + ".names a f\n2 1\n.end\n"),
+              StatusCode::ParseError);                          // bad cube char
+    EXPECT_EQ(blif_error(head + ".end\n"), StatusCode::ParseError);  // undefined output
+    EXPECT_EQ(blif_error(head + ".names a f\n1 1\n.names a f\n0 1\n.end\n"),
+              StatusCode::ParseError);  // doubly defined
+    EXPECT_EQ(blif_error(".model x\n.latch a b\n.end\n"), StatusCode::ParseError);
+    EXPECT_EQ(blif_error(head + ".names a f\n11 1\n.end\n"),
+              StatusCode::ParseError);  // cube width mismatch
+    EXPECT_EQ(blif_error(head + ".names a f\n1 1\n0 0\n.end\n"),
+              StatusCode::ParseError);  // mixed on/off rows
 }
 
 TEST(Blif, TruncatedInputMissingEnd) {
@@ -130,8 +134,6 @@ TEST(Blif, TruncatedInputMissingEnd) {
     EXPECT_EQ(r.status().code(), StatusCode::ParseError);
     EXPECT_NE(r.status().message().find("missing .end"), std::string::npos)
         << r.status().message();
-    EXPECT_THROW(read_blif(".model x\n.inputs a\n.outputs f\n.names a f\n1 1\n"),
-                 std::runtime_error);
 }
 
 TEST(Blif, SelfReferentialLatchDiagnosed) {
@@ -159,7 +161,7 @@ TEST(Blif, CheckedErrorsCarryLineNumbers) {
 }
 
 TEST(Blif, CycleDetected) {
-    EXPECT_THROW(read_blif(R"(
+    EXPECT_EQ(blif_error(R"(
 .model cyc
 .inputs a
 .outputs f
@@ -169,7 +171,7 @@ TEST(Blif, CycleDetected) {
 1 1
 .end
 )"),
-                 std::runtime_error);
+              StatusCode::ParseError);
 }
 
 TEST(Blif, RoundTripPreservesFunction) {
@@ -189,10 +191,10 @@ TEST(Blif, RoundTripPreservesFunction) {
 00 0
 .end
 )";
-    const Network n1 = read_blif(src);
+    const Network n1 = read_blif_checked(src).take_or_raise();
     const std::string dumped = write_blif(n1);
-    const Network n2 = read_blif(dumped);
-    EXPECT_TRUE(equivalent_random(n1, n2, 16, 321));
+    const Network n2 = read_blif_checked(dumped).take_or_raise();
+    EXPECT_TRUE(equivalent_random_checked(n1, n2, 16, 321).take_or_raise());
 }
 
 TEST(Blif, PoAliasBufferEmitted) {
@@ -202,22 +204,22 @@ TEST(Blif, PoAliasBufferEmitted) {
     const NodeId b = n.add_input("b");
     const NodeId g = n.make_and2(a, b);
     n.add_output("result", g);
-    const Network round = read_blif(write_blif(n));
+    const Network round = read_blif_checked(write_blif(n)).take_or_raise();
     ASSERT_EQ(round.outputs().size(), 1u);
     EXPECT_EQ(round.outputs()[0].name, "result");
-    EXPECT_TRUE(equivalent_random(n, round, 8, 42));
+    EXPECT_TRUE(equivalent_random_checked(n, round, 8, 42).take_or_raise());
 }
 
 TEST(Blif, OutputDrivenByInput) {
-    const Network n = read_blif(R"(
+    const Network n = read_blif_checked(R"(
 .model wire
 .inputs a
 .outputs a
 .end
-)");
+)").take_or_raise();
     EXPECT_EQ(n.outputs()[0].driver, n.inputs()[0]);
-    const Network round = read_blif(write_blif(n));
-    EXPECT_TRUE(equivalent_random(n, round, 4, 7));
+    const Network round = read_blif_checked(write_blif(n)).take_or_raise();
+    EXPECT_TRUE(equivalent_random_checked(n, round, 4, 7).take_or_raise());
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
 // The checkers must stay quiet on healthy pipelines and loud on corrupted
-// ones: each test deliberately breaks one invariant (a cycle, an off-chip
-// cell, a functionally wrong cover...) and asserts the matching checker
-// reports the right CheckIssue.
+// ones: each test deliberately breaks one invariant (a broken fanout edge,
+// an off-chip cell, a functionally wrong cover...) and asserts the
+// matching checker reports the right CheckIssue. Network-level corruption
+// (cycles, edge asymmetry) is lint_network's, in the Lint suite of
+// verify_test.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
 
 #include "check/mapped_checker.hpp"
 #include "check/match_checker.hpp"
-#include "check/network_checker.hpp"
 #include "check/placement_checker.hpp"
 #include "check/subject_checker.hpp"
 #include "circuits/benchmarks.hpp"
@@ -66,61 +67,6 @@ TEST(CheckLevelParse, TextAndEnvFallback) {
     EXPECT_EQ(parse_check_level("Light"), CheckLevel::Light);
     EXPECT_EQ(parse_check_level("PARANOID"), CheckLevel::Paranoid);
     EXPECT_EQ(parse_check_level("bogus", CheckLevel::Light), CheckLevel::Light);
-}
-
-// ---- NetworkChecker ---------------------------------------------------
-
-TEST(NetworkChecker, CleanNetworkHasNoIssues) {
-    const CheckReport rep = NetworkChecker{}.check(small_net());
-    EXPECT_FALSE(rep.has_errors());
-    EXPECT_EQ(rep.warning_count(), 0u);
-}
-
-TEST(NetworkChecker, DetectsCycle) {
-    Network net = small_net();
-    // Point an early logic node's fanin at the last node: a back edge that
-    // breaks the topological-order invariant standing in for acyclicity.
-    const NodeId last = static_cast<NodeId>(net.node_count() - 1);
-    const NodeId early = net.logic_nodes().front();
-    net.node(early).fanins.push_back(last);
-    const CheckReport rep = NetworkChecker{}.check(net);
-    EXPECT_TRUE(has_error(rep, CheckStage::Network, "cycle"));
-}
-
-TEST(NetworkChecker, DetectsSelfLoop) {
-    Network net = small_net();
-    const NodeId early = net.logic_nodes().front();
-    net.node(early).fanins.push_back(early);
-    EXPECT_TRUE(has_error(NetworkChecker{}.check(net), CheckStage::Network, "self-loop"));
-}
-
-TEST(NetworkChecker, DetectsFanoutAsymmetry) {
-    Network net = small_net();
-    const NodeId y = net.logic_nodes().back();
-    net.node(net.node(y).fanins.front()).fanouts.clear();  // drop the back edge
-    EXPECT_TRUE(has_error(NetworkChecker{}.check(net), CheckStage::Network, "asymmetry"));
-}
-
-TEST(NetworkChecker, WarnsOnDanglingNode) {
-    Network net = small_net();
-    net.make_not(net.inputs().front(), "unused_inv");
-    const CheckReport rep = NetworkChecker{}.check(net);
-    EXPECT_FALSE(rep.has_errors());
-    EXPECT_TRUE(rep.mentions("dangling"));
-}
-
-TEST(NetworkChecker, DetectsDuplicateNames) {
-    Network net = small_net();
-    net.node(net.logic_nodes().front()).name = "a";  // collides with the PI
-    EXPECT_TRUE(has_error(NetworkChecker{}.check(net), CheckStage::Network, "already used"));
-}
-
-TEST(NetworkChecker, DetectsSopOutOfBounds) {
-    Network net = small_net();
-    Node& y = net.node(net.logic_nodes().back());
-    y.function.cubes.push_back(Cube::literal(13, true));  // node has 2 fanins
-    EXPECT_TRUE(
-        has_error(NetworkChecker{}.check(net), CheckStage::Network, "SOP references"));
 }
 
 // ---- SubjectChecker ---------------------------------------------------
@@ -402,11 +348,13 @@ TEST(FlowCheck, ParanoidPipelinesStayQuiet) {
     const Network net = make_priority_controller(8);
     FlowOptions opts;
     opts.check = CheckLevel::Paranoid;
-    EXPECT_NO_THROW(run_baseline_flow(net, lib, opts));
-    EXPECT_NO_THROW(run_lily_flow(net, lib, opts));
-    opts.objective = MapObjective::Delay;
-    EXPECT_NO_THROW(run_baseline_flow(net, lib, opts));
-    EXPECT_NO_THROW(run_lily_flow(net, lib, opts));
+    for (const MapObjective objective : {MapObjective::Area, MapObjective::Delay}) {
+        opts.objective = objective;
+        for (const FlowKind kind : {FlowKind::Baseline, FlowKind::Lily}) {
+            const StatusOr<FlowResult> out = run_flow_checked(kind, net, lib, opts);
+            ASSERT_TRUE(out.is_ok()) << to_string(kind) << ": " << out.status().to_string();
+        }
+    }
 }
 
 }  // namespace

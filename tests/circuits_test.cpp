@@ -223,11 +223,11 @@ TEST(Circuits, ControlLogicDeterministicAndSized) {
     const Network a = make_control_logic(20, 10, 150, 42, "t");
     const Network b = make_control_logic(20, 10, 150, 42, "t");
     EXPECT_EQ(a.node_count(), b.node_count());
-    EXPECT_TRUE(equivalent_random(a, b, 4, 1));
+    EXPECT_TRUE(equivalent_random_checked(a, b, 4, 1).take_or_raise());
     EXPECT_EQ(a.outputs().size(), 10u);
     EXPECT_GT(a.logic_node_count(), 50u);
     const Network c = make_control_logic(20, 10, 150, 43, "t");
-    EXPECT_FALSE(equivalent_random(a, c, 4, 1));  // seed changes function
+    EXPECT_FALSE(equivalent_random_checked(a, c, 4, 1).take_or_raise());  // seed changes function
 }
 
 TEST(Circuits, PlaShape) {

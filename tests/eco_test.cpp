@@ -53,15 +53,15 @@ TEST(Eco, RandomDeltaSequencesStayEquivalent) {
                 << name << " step " << step << ": " << eco.status().to_string();
             EXPECT_EQ(eco.value().version, state.net.version());
             // The maintained mapping must compute the edited network.
-            EXPECT_TRUE(equivalent_random(state.net, state.flow.netlist.to_network(lib), 8,
-                                          11 + step))
+            EXPECT_TRUE(equivalent_random_checked(state.net, state.flow.netlist.to_network(lib), 8,
+                                          11 + step).take_or_raise())
                 << name << " step " << step;
         }
 
         // ...and agree with a from-scratch flow of the final edited circuit.
-        const FlowResult scratch = run_lily_flow(state.net, lib, opts);
-        EXPECT_TRUE(equivalent_random(scratch.netlist.to_network(lib),
-                                      state.flow.netlist.to_network(lib), 8, 99))
+        const FlowResult scratch = run_lily_flow_checked(state.net, lib, opts).take_or_raise();
+        EXPECT_TRUE(equivalent_random_checked(scratch.netlist.to_network(lib),
+                                      state.flow.netlist.to_network(lib), 8, 99).take_or_raise())
             << name;
     }
 }
@@ -87,7 +87,7 @@ void expect_full_rebuild_matches_batch(std::size_t threads) {
     ASSERT_TRUE(full.is_ok()) << full.status().to_string();
     EXPECT_TRUE(full.value().full_reflow);
 
-    const FlowResult batch = run_lily_flow(state.net, lib, opts);
+    const FlowResult batch = run_lily_flow_checked(state.net, lib, opts).take_or_raise();
     const FlowResult& eco = state.flow;
     EXPECT_EQ(eco.metrics.gate_count, batch.metrics.gate_count);
     EXPECT_EQ(eco.metrics.cell_area, batch.metrics.cell_area);
@@ -136,7 +136,8 @@ TEST(Eco, SmallEditReusesMostArtifacts) {
     EXPECT_GE(s.subject_nodes_after, s.subject_nodes_before);
     EXPECT_EQ(s.version, state.net.version());
     // The maintained artifacts still compute the edited circuit.
-    EXPECT_TRUE(equivalent_random(state.net, state.flow.netlist.to_network(lib), 8, 21));
+    EXPECT_TRUE(equivalent_random_checked(state.net, state.flow.netlist.to_network(lib), 8, 21)
+                    .take_or_raise());
 }
 
 TEST(Eco, EmptyDeltaIsNoOp) {

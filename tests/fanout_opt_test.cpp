@@ -35,7 +35,7 @@ Mapped map_circuit(Network net) {
     Mapped out;
     out.net = std::move(net);
     const DecomposeResult sub = decompose(out.net);
-    const LilyResult res = LilyMapper(out.lib).map(sub.graph);
+    const LilyResult res = LilyMapper(out.lib).map_checked(sub.graph).take_or_raise();
     out.netlist = res.netlist;
     out.positions = res.instance_positions;
     return out;
@@ -63,7 +63,8 @@ TEST(FanoutOpt, EnforcesLimitAndPreservesFunction) {
     EXPECT_LE(max_sinks(optimized), 4u);
     EXPECT_EQ(pos.size(), optimized.gates.size());
     optimized.check(m.lib);
-    EXPECT_TRUE(equivalent_random(m.net, optimized.to_network(m.lib), 8, 55));
+    EXPECT_TRUE(
+        equivalent_random_checked(m.net, optimized.to_network(m.lib), 8, 55).take_or_raise());
 }
 
 TEST(FanoutOpt, NoChangeBelowLimit) {
@@ -92,7 +93,8 @@ TEST(FanoutOpt, HandlesPrimaryInputNets) {
     opts.max_fanout = 4;
     optimize_fanout(optimized, m.lib, &pos, opts);
     EXPECT_LE(max_sinks(optimized), 4u);
-    EXPECT_TRUE(equivalent_random(m.net, optimized.to_network(m.lib), 8, 66));
+    EXPECT_TRUE(
+        equivalent_random_checked(m.net, optimized.to_network(m.lib), 8, 66).take_or_raise());
 }
 
 TEST(FanoutOpt, WorksWithoutPositions) {
@@ -102,17 +104,18 @@ TEST(FanoutOpt, WorksWithoutPositions) {
     opts.max_fanout = 5;
     optimize_fanout(optimized, m.lib, nullptr, opts);
     EXPECT_LE(max_sinks(optimized), 5u);
-    EXPECT_TRUE(equivalent_random(m.net, optimized.to_network(m.lib), 8, 77));
+    EXPECT_TRUE(
+        equivalent_random_checked(m.net, optimized.to_network(m.lib), 8, 77).take_or_raise());
 }
 
 TEST(FanoutOpt, DoubleInverterFallback) {
     // A library without identity gates must fall back to inverter pairs.
-    Library lib = read_genlib(R"(
+    Library lib = read_genlib_checked(R"(
 GATE inv 1.0 O=!a;
 PIN * INV 0.1 1.0 0.4 2.0 0.3 1.6
 GATE nd2 2.0 O=!(a*b);
 PIN * INV 0.1 1.0 0.5 2.6 0.45 2.2
-)");
+)").take_or_raise();
     lib.validate();
     Network net = hub_circuit(24);
     const DecomposeResult sub = decompose(net);
@@ -124,7 +127,7 @@ PIN * INV 0.1 1.0 0.5 2.6 0.45 2.2
     EXPECT_GT(r.buffers_added, 0u);
     EXPECT_EQ(r.buffers_added % 2, 0u);  // pairs
     EXPECT_LE(max_sinks(optimized), 4u);
-    EXPECT_TRUE(equivalent_random(net, optimized.to_network(lib), 8, 88));
+    EXPECT_TRUE(equivalent_random_checked(net, optimized.to_network(lib), 8, 88).take_or_raise());
 }
 
 TEST(FanoutOpt, RejectsBadArguments) {
@@ -143,14 +146,16 @@ TEST(FanoutOpt, SuiteCircuitsStayEquivalent) {
     for (const Benchmark& b : paper_suite(0.25)) {
         if (b.network.logic_node_count() > 300) continue;
         const DecomposeResult sub = decompose(b.network);
-        const LilyResult res = LilyMapper(lib).map(sub.graph);
+        const LilyResult res = LilyMapper(lib).map_checked(sub.graph).take_or_raise();
         MappedNetlist optimized = res.netlist;
         std::vector<Point> pos = res.instance_positions;
         FanoutOptOptions opts;
         opts.max_fanout = 6;
         optimize_fanout(optimized, lib, &pos, opts);
         EXPECT_LE(max_sinks(optimized), 6u) << b.name;
-        EXPECT_TRUE(equivalent_random(b.network, optimized.to_network(lib), 4, 99)) << b.name;
+        EXPECT_TRUE(
+            equivalent_random_checked(b.network, optimized.to_network(lib), 4, 99).take_or_raise())
+            << b.name;
     }
 }
 

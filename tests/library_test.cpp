@@ -13,7 +13,7 @@ namespace {
 // -------------------------------------------------------------------- expr
 
 TEST(Expr, ParseSimple) {
-    const ParsedEquation eq = parse_equation("O = a*b + !c");
+    const ParsedEquation eq = parse_equation_checked("O = a*b + !c").take_or_raise();
     EXPECT_EQ(eq.output, "O");
     ASSERT_EQ(eq.input_names.size(), 3u);
     EXPECT_EQ(eq.input_names[0], "a");
@@ -25,25 +25,25 @@ TEST(Expr, ParseSimple) {
 }
 
 TEST(Expr, PostfixComplementAndParens) {
-    const ParsedEquation eq = parse_equation("Y=(a+b)'*c");
+    const ParsedEquation eq = parse_equation_checked("Y=(a+b)'*c").take_or_raise();
     EXPECT_TRUE(eval_expr(*eq.expr, 0b100));   // a=0,b=0,c=1
     EXPECT_FALSE(eval_expr(*eq.expr, 0b101));  // a=1
     EXPECT_FALSE(eval_expr(*eq.expr, 0b000));  // c=0
 }
 
 TEST(Expr, DoubleNegationCollapses) {
-    const ParsedEquation eq = parse_equation("O=!!a");
+    const ParsedEquation eq = parse_equation_checked("O=!!a").take_or_raise();
     EXPECT_EQ(eq.expr->kind, ExprKind::Var);
 }
 
 TEST(Expr, Constants) {
-    EXPECT_TRUE(eval_expr(*parse_equation("O=CONST1").expr, 0));
-    EXPECT_FALSE(eval_expr(*parse_equation("O=CONST0").expr, 0));
-    EXPECT_FALSE(eval_expr(*parse_equation("O=!CONST1").expr, 0));
+    EXPECT_TRUE(eval_expr(*parse_equation_checked("O=CONST1").take_or_raise().expr, 0));
+    EXPECT_FALSE(eval_expr(*parse_equation_checked("O=CONST0").take_or_raise().expr, 0));
+    EXPECT_FALSE(eval_expr(*parse_equation_checked("O=!CONST1").take_or_raise().expr, 0));
 }
 
 TEST(Expr, RepeatedVariableSharesIndex) {
-    const ParsedEquation eq = parse_equation("O=a*!b+!a*b");
+    const ParsedEquation eq = parse_equation_checked("O=a*!b+!a*b").take_or_raise();
     EXPECT_EQ(eq.input_names.size(), 2u);
     EXPECT_EQ(expr_var_count(*eq.expr), 2u);
     const TruthTable t = expr_truth_table(*eq.expr, 2);
@@ -51,24 +51,22 @@ TEST(Expr, RepeatedVariableSharesIndex) {
 }
 
 TEST(Expr, Errors) {
-    EXPECT_THROW(parse_equation("no equals sign"), std::runtime_error);
-    EXPECT_THROW(parse_equation("O=a+"), std::runtime_error);
-    EXPECT_THROW(parse_equation("O=(a"), std::runtime_error);
-    EXPECT_THROW(parse_equation("O=a b"), std::runtime_error);
-    EXPECT_THROW(parse_equation(" =a"), std::runtime_error);
+    for (const char* text : {"no equals sign", "O=a+", "O=(a", "O=a b", " =a"}) {
+        EXPECT_EQ(parse_equation_checked(text).status().code(), StatusCode::ParseError) << text;
+    }
 }
 
 TEST(Expr, ToStringRoundTrips) {
-    const ParsedEquation eq = parse_equation("O=!(a*b+c)");
+    const ParsedEquation eq = parse_equation_checked("O=!(a*b+c)").take_or_raise();
     const std::string s = expr_to_string(*eq.expr, eq.input_names);
-    const ParsedEquation eq2 = parse_equation("O=" + s);
+    const ParsedEquation eq2 = parse_equation_checked("O=" + s).take_or_raise();
     EXPECT_EQ(expr_truth_table(*eq.expr, 3), expr_truth_table(*eq2.expr, 3));
 }
 
 // ----------------------------------------------------------------- pattern
 
 TEST(Pattern, InverterPattern) {
-    const ParsedEquation eq = parse_equation("O=!a");
+    const ParsedEquation eq = parse_equation_checked("O=!a").take_or_raise();
     const auto pats = generate_patterns(eq.expr, 1);
     ASSERT_EQ(pats.size(), 1u);
     EXPECT_EQ(pats[0].internal_size(), 1u);
@@ -76,7 +74,7 @@ TEST(Pattern, InverterPattern) {
 }
 
 TEST(Pattern, Nand2SinglePattern) {
-    const ParsedEquation eq = parse_equation("O=!(a*b)");
+    const ParsedEquation eq = parse_equation_checked("O=!(a*b)").take_or_raise();
     const auto pats = generate_patterns(eq.expr, 2);
     ASSERT_EQ(pats.size(), 1u);
     EXPECT_EQ(pats[0].internal_size(), 1u);
@@ -84,7 +82,7 @@ TEST(Pattern, Nand2SinglePattern) {
 
 TEST(Pattern, Nand3HasTwoNodePatterns) {
     // !(abc) = NAND(a, INV(NAND(b,c))) — one shape up to commutativity.
-    const ParsedEquation eq = parse_equation("O=!(a*b*c)");
+    const ParsedEquation eq = parse_equation_checked("O=!(a*b*c)").take_or_raise();
     const auto pats = generate_patterns(eq.expr, 3);
     ASSERT_GE(pats.size(), 1u);
     for (const auto& p : pats) EXPECT_EQ(p.truth_table(), expr_truth_table(*eq.expr, 3));
@@ -94,14 +92,14 @@ TEST(Pattern, Nand3HasTwoNodePatterns) {
 TEST(Pattern, ShapeCountNand6) {
     // Unordered binary trees over 6 identical leaves: Wedderburn-Etherington
     // number 6 -> 6 distinct shapes (each NAND-of-ANDs decomposition).
-    const ParsedEquation eq = parse_equation("O=!(a*b*c*d*e*f)");
+    const ParsedEquation eq = parse_equation_checked("O=!(a*b*c*d*e*f)").take_or_raise();
     const auto pats = generate_patterns(eq.expr, 6, 256);
     EXPECT_EQ(pats.size(), 6u);
     for (const auto& p : pats) EXPECT_EQ(p.truth_table(), expr_truth_table(*eq.expr, 6));
 }
 
 TEST(Pattern, XorLeafDagRepeatsVariables) {
-    const ParsedEquation eq = parse_equation("O=a*!b+!a*b");
+    const ParsedEquation eq = parse_equation_checked("O=a*!b+!a*b").take_or_raise();
     const auto pats = generate_patterns(eq.expr, 2);
     ASSERT_GE(pats.size(), 1u);
     for (const auto& p : pats) {
@@ -117,7 +115,7 @@ TEST(Pattern, AllPatternsFunctionallyCorrect) {
     for (const char* equation :
          {"O=!(a*b+c)", "O=!((a+b)*c)", "O=!(a*b+c*d)", "O=a+b+c+d", "O=!((a+b)*(c+d)*e)",
           "O=!s*a+s*b", "O=a*b*c*d*e"}) {
-        const ParsedEquation eq = parse_equation(equation);
+        const ParsedEquation eq = parse_equation_checked(equation).take_or_raise();
         const unsigned n = static_cast<unsigned>(eq.input_names.size());
         const TruthTable want = expr_truth_table(*eq.expr, n);
         const auto pats = generate_patterns(eq.expr, n, 128);
@@ -142,7 +140,7 @@ TEST(Pattern, CanonicalInvariantUnderChildSwap) {
 }
 
 TEST(Pattern, DepthIsLongestPath) {
-    const ParsedEquation eq = parse_equation("O=!(a*b*c*d)");
+    const ParsedEquation eq = parse_equation_checked("O=!(a*b*c*d)").take_or_raise();
     const auto pats = generate_patterns(eq.expr, 4, 64);
     // Balanced: NAND(INV(NAND(a,b)), INV(NAND(c,d))) depth 3.
     // Skewed: NAND(a, INV(NAND(b, INV(NAND(c,d))))) depth 5.
@@ -158,13 +156,13 @@ TEST(Pattern, DepthIsLongestPath) {
 // ----------------------------------------------------------------- library
 
 TEST(Genlib, ParseMinimal) {
-    const Library lib = read_genlib(R"(
+    const Library lib = read_genlib_checked(R"(
 # comment
 GATE inv 1.0 O=!a;
 PIN a INV 0.1 1.0 0.4 2.0 0.3 1.5
 GATE nd2 2.0 O=!(a*b);
 PIN * INV 0.1 1.0 0.5 2.5 0.4 2.0
-)");
+)").take_or_raise();
     EXPECT_EQ(lib.size(), 2u);
     const Gate& inv = lib.gate(0);
     EXPECT_EQ(inv.name, "inv");
@@ -179,21 +177,25 @@ PIN * INV 0.1 1.0 0.5 2.5 0.4 2.0
 }
 
 TEST(Genlib, MultiLineEquation) {
-    const Library lib = read_genlib("GATE big 4.0 O=!(a*b+\nc*d);\nPIN * INV 0.1 1 1 3 1 3\n");
+    const Library lib =
+        read_genlib_checked("GATE big 4.0 O=!(a*b+\nc*d);\nPIN * INV 0.1 1 1 3 1 3\n")
+            .take_or_raise();
     ASSERT_EQ(lib.size(), 1u);
     EXPECT_EQ(lib.gate(0).n_inputs(), 4u);
 }
 
 TEST(Genlib, Errors) {
-    EXPECT_THROW(read_genlib("GATE x 1.0\n"), std::runtime_error);
-    EXPECT_THROW(read_genlib("PIN a INV 0.1 1 1 1 1 1\n"), std::runtime_error);
-    EXPECT_THROW(read_genlib("GATE x 1.0 O=!a;\nPIN b INV 0.1 1 1 1 1 1\n"),
-                 std::runtime_error);  // pin not in equation
-    EXPECT_THROW(read_genlib("GATE x 1.0 O=!(a*b);\nPIN a INV 0.1 1 1 1 1 1\n"),
-                 std::runtime_error);  // missing pin b
-    EXPECT_THROW(read_genlib("GATE x 1.0 O=!a;\nPIN a BAD 0.1 1 1 1 1 1\n"), std::runtime_error);
-    EXPECT_THROW(read_genlib("GATE x 1.0 O=!a\n"), std::runtime_error);  // missing ';'
-    EXPECT_THROW(read_genlib("HELLO\n"), std::runtime_error);
+    for (const char* text : {
+             "GATE x 1.0\n",
+             "PIN a INV 0.1 1 1 1 1 1\n",
+             "GATE x 1.0 O=!a;\nPIN b INV 0.1 1 1 1 1 1\n",     // pin not in equation
+             "GATE x 1.0 O=!(a*b);\nPIN a INV 0.1 1 1 1 1 1\n",  // missing pin b
+             "GATE x 1.0 O=!a;\nPIN a BAD 0.1 1 1 1 1 1\n",
+             "GATE x 1.0 O=!a\n",  // missing ';'
+             "HELLO\n",
+         }) {
+        EXPECT_EQ(read_genlib_checked(text).status().code(), StatusCode::ParseError) << text;
+    }
 }
 
 TEST(Genlib, OverFaninGateSkippedNotFatal) {
@@ -201,7 +203,7 @@ TEST(Genlib, OverFaninGateSkippedNotFatal) {
     // skip it with a diagnostic and keep the rest of the library usable.
     std::string text = "GATE wide 9.0 O=!(a*b*c*d*e*f*g*h*i*j*k);\nPIN * INV 0.1 1 1 1 1 1\n";
     text += "GATE inv 1.0 O=!a;\nPIN a INV 0.1 1 1 1 1 1\n";
-    const Library lib = read_genlib(text);
+    const Library lib = read_genlib_checked(text).take_or_raise();
     EXPECT_EQ(lib.size(), 1u);
     EXPECT_EQ(lib.gate(0).name, "inv");
     ASSERT_EQ(lib.skipped_gates().size(), 1u);
@@ -222,8 +224,8 @@ TEST(Genlib, CheckedReaderReportsLineNumbers) {
 }
 
 TEST(Genlib, TypicalInputLoad) {
-    const Library lib = read_genlib(
-        "GATE g 2.0 O=!(a*b);\nPIN a INV 0.1 1 1 1 1 1\nPIN b INV 0.3 1 1 1 1 1\n");
+    const Library lib = read_genlib_checked(
+        "GATE g 2.0 O=!(a*b);\nPIN a INV 0.1 1 1 1 1 1\nPIN b INV 0.3 1 1 1 1 1\n").take_or_raise();
     EXPECT_DOUBLE_EQ(lib.gate(0).typical_input_load(), 0.2);
 }
 

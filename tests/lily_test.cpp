@@ -31,9 +31,11 @@ TEST_P(LilyParam, MapsBenchmarksEquivalent) {
         ASSERT_NE(it, suite.end());
         const Network& net = it->network;
         const DecomposeResult r = decompose(net);
-        const LilyResult res = mapper.map(r.graph, opts);
+        const LilyResult res = mapper.map_checked(r.graph, opts).take_or_raise();
         res.netlist.check(lib);
-        EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, 17)) << name;
+        EXPECT_TRUE(
+            equivalent_random_checked(net, res.netlist.to_network(lib), 8, 17).take_or_raise())
+            << name;
         EXPECT_EQ(res.instance_positions.size(), res.netlist.gate_count());
     }
 }
@@ -61,7 +63,7 @@ TEST(Lily, LifeCycleEndsInHawksAndDoves) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(r.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     // Every subject gate node reachable from a PO is Hawk or Dove; inputs
     // stay Egg (they are never "processed").
     std::vector<bool> live(r.graph.size(), false);
@@ -97,7 +99,7 @@ TEST(Lily, ConeOrderIsPermutation) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(r.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     auto order = res.cone_order;
     std::sort(order.begin(), order.end());
     for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
@@ -112,7 +114,7 @@ TEST(Lily, ZeroWireWeightMatchesBaselineArea) {
     const DecomposeResult r = decompose(net);
     LilyOptions lily_opts;
     lily_opts.wire_weight = 0.0;
-    const LilyResult lres = LilyMapper(lib).map(r.graph, lily_opts);
+    const LilyResult lres = LilyMapper(lib).map_checked(r.graph, lily_opts).take_or_raise();
     const MapResult bres = BaseMapper(lib).map(r.graph);
     EXPECT_NEAR(lres.total_area, bres.total_area, 1e-6);
 }
@@ -126,8 +128,8 @@ TEST(Lily, WireAwareMappingReducesEstimatedWire) {
     no_wire.wire_weight = 0.0;
     LilyOptions with_wire;
     with_wire.wire_weight = 2.0;
-    const LilyResult r0 = LilyMapper(lib).map(r.graph, no_wire);
-    const LilyResult r1 = LilyMapper(lib).map(r.graph, with_wire);
+    const LilyResult r0 = LilyMapper(lib).map_checked(r.graph, no_wire).take_or_raise();
+    const LilyResult r1 = LilyMapper(lib).map_checked(r.graph, with_wire).take_or_raise();
     EXPECT_LE(r1.estimated_wirelength, r0.estimated_wirelength * 1.02);
 }
 
@@ -135,7 +137,7 @@ TEST(Lily, InstancePositionsInsideRegion) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult res = LilyMapper(lib).map(r.graph);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     // mapPositions stay within (a small margin of) the placement region.
     Rect grown = res.inchoate_placement.region;
     const double margin = grown.half_perimeter() * 0.25;
@@ -153,13 +155,14 @@ TEST(Lily, ExternalPadPositionsRespected) {
     const SubjectPlacementView view = make_placement_view(r.graph);
     const Rect region = make_region(view.netlist.total_cell_area());
     const auto pads = uniform_pad_ring(view.netlist.pad_positions.size(), region);
-    const LilyResult res = LilyMapper(lib).map(r.graph, {}, pads);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph, {}, pads).take_or_raise();
     ASSERT_EQ(res.pad_positions.size(), pads.size());
     for (std::size_t i = 0; i < pads.size(); ++i) {
         EXPECT_EQ(res.pad_positions[i], pads[i]);
     }
-    EXPECT_THROW(LilyMapper(lib).map(r.graph, {}, std::vector<Point>{{0, 0}}),
-                 std::logic_error);
+    const StatusOr<LilyResult> bad =
+        LilyMapper(lib).map_checked(r.graph, {}, std::vector<Point>{{0, 0}});
+    EXPECT_EQ(bad.status().code(), StatusCode::InvariantViolation);
 }
 
 TEST(Lily, PeriodicReplacementRunsAndStaysEquivalent) {
@@ -168,9 +171,9 @@ TEST(Lily, PeriodicReplacementRunsAndStaysEquivalent) {
     const DecomposeResult r = decompose(net);
     LilyOptions opts;
     opts.replace_every_n_cones = 2;
-    const LilyResult res = LilyMapper(lib).map(r.graph, opts);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
     EXPECT_GT(res.replacements, 0u);
-    EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, 23));
+    EXPECT_TRUE(equivalent_random_checked(net, res.netlist.to_network(lib), 8, 23).take_or_raise());
 }
 
 TEST(Lily, ConeOrderingToggleBothEquivalent) {
@@ -181,10 +184,10 @@ TEST(Lily, ConeOrderingToggleBothEquivalent) {
     ordered.order_cones = true;
     LilyOptions unordered;
     unordered.order_cones = false;
-    const LilyResult a = LilyMapper(lib).map(r.graph, ordered);
-    const LilyResult b = LilyMapper(lib).map(r.graph, unordered);
-    EXPECT_TRUE(equivalent_random(net, a.netlist.to_network(lib), 8, 29));
-    EXPECT_TRUE(equivalent_random(net, b.netlist.to_network(lib), 8, 29));
+    const LilyResult a = LilyMapper(lib).map_checked(r.graph, ordered).take_or_raise();
+    const LilyResult b = LilyMapper(lib).map_checked(r.graph, unordered).take_or_raise();
+    EXPECT_TRUE(equivalent_random_checked(net, a.netlist.to_network(lib), 8, 29).take_or_raise());
+    EXPECT_TRUE(equivalent_random_checked(net, b.netlist.to_network(lib), 8, 29).take_or_raise());
 }
 
 TEST(Lily, DelayModeArrivalPositiveAndConsistent) {
@@ -193,7 +196,7 @@ TEST(Lily, DelayModeArrivalPositiveAndConsistent) {
     const DecomposeResult r = decompose(net);
     LilyOptions opts;
     opts.objective = MapObjective::Delay;
-    const LilyResult res = LilyMapper(lib).map(r.graph, opts);
+    const LilyResult res = LilyMapper(lib).map_checked(r.graph, opts).take_or_raise();
     EXPECT_GT(res.worst_arrival, 0.0);
     EXPECT_LT(res.worst_arrival, 1e4);
     // Block arrival consistency: for every hawk, the stored output arrival
@@ -211,8 +214,8 @@ TEST(Lily, DeterministicAcrossRuns) {
     const Library lib = load_msu_big();
     const Network net = small_circuit();
     const DecomposeResult r = decompose(net);
-    const LilyResult a = LilyMapper(lib).map(r.graph);
-    const LilyResult b = LilyMapper(lib).map(r.graph);
+    const LilyResult a = LilyMapper(lib).map_checked(r.graph).take_or_raise();
+    const LilyResult b = LilyMapper(lib).map_checked(r.graph).take_or_raise();
     ASSERT_EQ(a.netlist.gate_count(), b.netlist.gate_count());
     for (std::size_t i = 0; i < a.netlist.gates.size(); ++i) {
         EXPECT_EQ(a.netlist.gates[i].gate, b.netlist.gates[i].gate);

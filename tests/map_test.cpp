@@ -69,7 +69,8 @@ TEST_P(BaseMapperParam, FullAdderMapsEquivalent) {
     const MapResult res = mapper.map(r.graph, opts);
     res.netlist.check(lib);
     EXPECT_GT(res.netlist.gate_count(), 0u);
-    EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 16, 99));
+    EXPECT_TRUE(
+        equivalent_random_checked(net, res.netlist.to_network(lib), 16, 99).take_or_raise());
 }
 
 TEST_P(BaseMapperParam, RandomNetworksMapEquivalent) {
@@ -83,7 +84,9 @@ TEST_P(BaseMapperParam, RandomNetworksMapEquivalent) {
         opts.mode = GetParam().mode;
         const MapResult res = mapper.map(r.graph, opts);
         res.netlist.check(lib);
-        EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, seed)) << seed;
+        EXPECT_TRUE(
+            equivalent_random_checked(net, res.netlist.to_network(lib), 8, seed).take_or_raise())
+            << seed;
     }
 }
 
@@ -242,7 +245,7 @@ TEST(MappedNetlist, PoDrivenByInputSurvivesMapping) {
     const Library lib = load_msu_tiny();
     const MapResult res = BaseMapper(lib).map(r.graph);
     res.netlist.check(lib);
-    EXPECT_TRUE(equivalent_random(net, res.netlist.to_network(lib), 8, 5));
+    EXPECT_TRUE(equivalent_random_checked(net, res.netlist.to_network(lib), 8, 5).take_or_raise());
 }
 
 }  // namespace

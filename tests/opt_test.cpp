@@ -135,7 +135,7 @@ TEST(Optimize, ConstantsPropagate) {
     net.add_output("f", h);
     std::size_t folded = 0;
     const Network out = propagate_constants(net, &folded);
-    EXPECT_TRUE(equivalent_random(net, out, 8, 1));
+    EXPECT_TRUE(equivalent_random_checked(net, out, 8, 1).take_or_raise());
     // g reduces to a buffer of a; h to an inverter; constants swept.
     for (NodeId i = 0; i < out.node_count(); ++i) {
         if (out.node(i).kind == NodeKind::Logic) {
@@ -164,7 +164,7 @@ TEST(Optimize, BuffersCollapse) {
     const Network out = collapse_buffers(net, &removed);
     EXPECT_EQ(removed, 4u);
     EXPECT_EQ(out.logic_node_count(), 1u);
-    EXPECT_TRUE(equivalent_random(net, out, 8, 2));
+    EXPECT_TRUE(equivalent_random_checked(net, out, 8, 2).take_or_raise());
 }
 
 TEST(Optimize, CubeExtractionShares) {
@@ -191,7 +191,7 @@ TEST(Optimize, CubeExtractionShares) {
     std::size_t made = 0;
     const Network out = extract_common_cubes(net, 10, &made);
     EXPECT_GE(made, 1u);
-    EXPECT_TRUE(equivalent_random(net, out, 16, 3));
+    EXPECT_TRUE(equivalent_random_checked(net, out, 16, 3).take_or_raise());
     EXPECT_LT(out.literal_count(), net.literal_count());
 }
 
@@ -218,7 +218,7 @@ TEST(Optimize, KernelExtractionShares) {
     std::size_t made = 0;
     const Network out = extract_common_kernels(net, 10, &made);
     EXPECT_GE(made, 1u);
-    EXPECT_TRUE(equivalent_random(net, out, 16, 4));
+    EXPECT_TRUE(equivalent_random_checked(net, out, 16, 4).take_or_raise());
     // The kernel node exists and the originals reference it.
     EXPECT_GT(out.logic_node_count(), 2u);
 }
@@ -231,7 +231,7 @@ TEST(Optimize, FactoringBoundsCubeCount) {
             EXPECT_LE(out.node(i).function.cubes.size(), 4u);
         }
     }
-    EXPECT_TRUE(equivalent_random(pla, out, 8, 5));
+    EXPECT_TRUE(equivalent_random_checked(pla, out, 8, 5).take_or_raise());
     EXPECT_THROW(factor_wide_nodes(pla, 1), std::invalid_argument);
 }
 
@@ -245,7 +245,7 @@ TEST_P(OptimizeSuite, FullScriptEquivalentAndSmaller) {
     ASSERT_NE(it, suite.end());
     OptimizeStats stats;
     const Network out = optimize(it->network, {}, &stats);
-    EXPECT_TRUE(equivalent_random(it->network, out, 8, 6)) << GetParam();
+    EXPECT_TRUE(equivalent_random_checked(it->network, out, 8, 6).take_or_raise()) << GetParam();
     EXPECT_EQ(stats.literals_before, it->network.literal_count());
     EXPECT_EQ(stats.literals_after, out.literal_count());
     // PLA-style circuits must shrink; others must not blow up.
@@ -259,7 +259,7 @@ TEST(Optimize, PlaLiteralsShrinkSubstantially) {
     const Network pla = make_pla(20, 10, 80, 11, "shrink");
     OptimizeStats stats;
     const Network out = optimize(pla, {}, &stats);
-    EXPECT_TRUE(equivalent_random(pla, out, 8, 7));
+    EXPECT_TRUE(equivalent_random_checked(pla, out, 8, 7).take_or_raise());
     EXPECT_LT(stats.literals_after, stats.literals_before);
     EXPECT_GT(stats.cubes_extracted + stats.kernels_extracted, 0u);
 }
@@ -270,7 +270,7 @@ TEST(Optimize, Deterministic) {
     const Network b = optimize(pla);
     EXPECT_EQ(a.node_count(), b.node_count());
     EXPECT_EQ(a.literal_count(), b.literal_count());
-    EXPECT_TRUE(equivalent_random(a, b, 4, 8));
+    EXPECT_TRUE(equivalent_random_checked(a, b, 4, 8).take_or_raise());
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ Mapped map_small() {
     Mapped m;
     m.net = make_priority_controller(8);
     const DecomposeResult sub = decompose(m.net);
-    m.netlist = LilyMapper(m.lib).map(sub.graph).netlist;
+    m.netlist = LilyMapper(m.lib).map_checked(sub.graph).take_or_raise().netlist;
     return m;
 }
 
@@ -60,7 +60,7 @@ TEST(Verilog, SanitizesAwkwardNames) {
     net.add_output("out.x", net.make_and2(a, b));
     const Library lib = load_msu_big();
     const DecomposeResult sub = decompose(net);
-    const MappedNetlist m = LilyMapper(lib).map(sub.graph).netlist;
+    const MappedNetlist m = LilyMapper(lib).map_checked(sub.graph).take_or_raise().netlist;
     const std::string v = write_verilog(m, lib);
     EXPECT_EQ(v.find('['), std::string::npos);
     EXPECT_EQ(v.find('.'), v.find(".O("));  // only pin connections use '.'
@@ -125,7 +125,7 @@ TEST(FlatPla, MatchesTreePlaFunction) {
     // functions (same RNG draw schedule by construction).
     const Network tree = make_pla(12, 8, 30, 0x99, "p");
     const Network flat = make_pla_flat(12, 8, 30, 0x99, "p");
-    EXPECT_TRUE(equivalent_random(tree, flat, 16, 21));
+    EXPECT_TRUE(equivalent_random_checked(tree, flat, 16, 21).take_or_raise());
     // Flat: one logic node per output.
     EXPECT_EQ(flat.logic_node_count(), flat.outputs().size());
     EXPECT_THROW(make_pla_flat(65, 4, 10, 1, "x"), std::invalid_argument);

@@ -41,7 +41,7 @@ void expect_usable(const StatusOr<FlowResult>& res, const Network& net, const Li
     EXPECT_GT(flow.metrics.chip_area, 0.0);
     const CheckReport report = MappedChecker(lib).check_against(flow.netlist, net);
     EXPECT_FALSE(report.has_errors()) << report.to_string();
-    EXPECT_TRUE(equivalent_random(net, flow.netlist.to_network(lib), 8, 3));
+    EXPECT_TRUE(equivalent_random_checked(net, flow.netlist.to_network(lib), 8, 3).take_or_raise());
 }
 
 TEST(Robustness, PlacementDivergenceFallsBackToBaseline) {

@@ -53,7 +53,7 @@ JobSpec small_job(const std::string& fault = "") {
     spec.name = "alu4";
     spec.blif = write_blif(make_alu(4));
     spec.genlib = tiny_genlib();
-    spec.options.kind = JobFlowKind::Lily;
+    spec.options.kind = FlowKind::Lily;
     spec.fault_spec = fault;
     return spec;
 }
@@ -469,17 +469,6 @@ TEST_F(ArtifactCacheTest, EvictionHonorsEntryCapLru) {
     EXPECT_EQ(probe, CacheProbe::Hit);
     ASSERT_TRUE(cache.network_for(b, &probe).is_ok());
     EXPECT_EQ(probe, CacheProbe::Miss);  // b was the eviction victim
-}
-
-TEST_F(ArtifactCacheTest, DisabledCacheStillParses) {
-    ArtifactCache& cache = ArtifactCache::instance();
-    cache.set_enabled(false);
-    CacheProbe probe = CacheProbe::Hit;
-    const auto parsed = cache.network_for(write_blif(make_alu(2)), &probe);
-    cache.set_enabled(true);
-    ASSERT_TRUE(parsed.is_ok());
-    EXPECT_EQ(probe, CacheProbe::Skipped);
-    EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST_F(ArtifactCacheTest, RepeatedFlowJobsParseOnce) {

@@ -21,7 +21,7 @@ Sized run_sizing(Network net, MapObjective objective) {
     out.net = std::move(net);
     FlowOptions opts;
     opts.objective = objective;
-    out.flow = run_lily_flow(out.net, out.lib, opts);
+    out.flow = run_lily_flow_checked(out.net, out.lib, opts).take_or_raise();
     MappedPlacementView view = make_placement_view(out.flow.netlist, out.lib);
     view.netlist.pad_positions = out.flow.pad_positions;
     out.result = size_gates(out.flow.netlist, out.lib, view, out.flow.final_positions);
@@ -43,7 +43,8 @@ TEST(GateSizing, NeverIncreasesDelay) {
 
 TEST(GateSizing, PreservesFunction) {
     const Sized s = run_sizing(make_alu(6, false), MapObjective::Area);
-    EXPECT_TRUE(equivalent_random(s.net, s.flow.netlist.to_network(s.lib), 16, 31));
+    EXPECT_TRUE(
+        equivalent_random_checked(s.net, s.flow.netlist.to_network(s.lib), 16, 31).take_or_raise());
 }
 
 TEST(GateSizing, AreaMappedCircuitsImprove) {
@@ -73,7 +74,7 @@ TEST(GateSizing, SwapsOnlyWithinFunctionGroups) {
     Network net = make_priority_controller(10);
     FlowOptions opts;
     opts.objective = MapObjective::Area;
-    FlowResult flow = run_lily_flow(net, lib, opts);
+    FlowResult flow = run_lily_flow_checked(net, lib, opts).take_or_raise();
     const std::vector<GateInstance> before = flow.netlist.gates;
     MappedPlacementView view = make_placement_view(flow.netlist, lib);
     view.netlist.pad_positions = flow.pad_positions;

@@ -128,7 +128,7 @@ TEST(Decompose, FullAdderEquivalent) {
     const Network net = full_adder();
     const DecomposeResult r = decompose(net);
     r.graph.check();
-    EXPECT_TRUE(equivalent_random(net, r.graph.to_network(), 8, 11));
+    EXPECT_TRUE(equivalent_random_checked(net, r.graph.to_network(), 8, 11).take_or_raise());
     // All gates are NAND2/INV.
     for (SubjectId v = 0; v < r.graph.size(); ++v) {
         const auto k = r.graph.node(v).kind;
@@ -150,7 +150,7 @@ TEST(Decompose, ShapesAllEquivalent) {
         DecomposeOptions opts;
         opts.shape = shape;
         const DecomposeResult r = decompose(net, opts);
-        EXPECT_TRUE(equivalent_random(net, r.graph.to_network(), 16, 5))
+        EXPECT_TRUE(equivalent_random_checked(net, r.graph.to_network(), 16, 5).take_or_raise())
             << static_cast<int>(shape);
     }
 }
@@ -163,7 +163,7 @@ TEST(Decompose, ProximityShapeEquivalentAndUsesPositions) {
     opts.source_positions.resize(net.node_count());
     for (auto& p : opts.source_positions) p = {rng.next_double(0, 100), rng.next_double(0, 100)};
     const DecomposeResult r = decompose(net, opts);
-    EXPECT_TRUE(equivalent_random(net, r.graph.to_network(), 16, 5));
+    EXPECT_TRUE(equivalent_random_checked(net, r.graph.to_network(), 16, 5).take_or_raise());
 }
 
 TEST(Decompose, ProximityWithoutPositionsFallsBackToBalanced) {
@@ -186,7 +186,9 @@ TEST(Decompose, BalancedShallowerThanLeftDeep) {
     const auto balanced = decompose(net);
     const auto leftdeep = decompose(net, deep);
     EXPECT_LT(balanced.graph.depth(), leftdeep.graph.depth());
-    EXPECT_TRUE(equivalent_random(balanced.graph.to_network(), leftdeep.graph.to_network(), 8, 3));
+    EXPECT_TRUE(
+        equivalent_random_checked(balanced.graph.to_network(), leftdeep.graph.to_network(), 8, 3)
+            .take_or_raise());
 }
 
 TEST(Decompose, ConstantNodeRejected) {
@@ -210,7 +212,9 @@ TEST(Decompose, RandomNetworksEquivalentSweep) {
     for (std::uint64_t seed = 10; seed < 18; ++seed) {
         const Network net = random_network(seed);
         const DecomposeResult r = decompose(net);
-        EXPECT_TRUE(equivalent_random(net, r.graph.to_network(), 8, seed)) << seed;
+        EXPECT_TRUE(
+            equivalent_random_checked(net, r.graph.to_network(), 8, seed).take_or_raise())
+            << seed;
     }
 }
 

@@ -234,7 +234,7 @@ TEST(Aig, SimulateXor) {
 TEST(Aig, LowerNetworkMatchesSimulateBlockOnExamples) {
     for (const std::string& path : example_circuits()) {
         SCOPED_TRACE(path);
-        const Network net = read_blif_file(path);
+        const Network net = read_blif_file_checked(path).take_or_raise();
         Aig aig;
         std::vector<AigLit> pi_lits(net.inputs().size());
         for (AigLit& l : pi_lits) l = aig_lit(aig.add_input(), false);
@@ -285,10 +285,9 @@ TEST(AlignInterfaces, NameSetMismatchIsLoud) {
     ASSERT_FALSE(align.is_ok());
     EXPECT_EQ(align.status().code(), StatusCode::InvariantViolation);
 
+    // Random simulation must not silently report "not equivalent".
     const StatusOr<bool> eq = equivalent_random_checked(a, b, 4, 7);
-    EXPECT_FALSE(eq.is_ok());
-    // The historical bool API must not silently report "not equivalent".
-    EXPECT_THROW(equivalent_random(a, b, 4, 7), std::logic_error);
+    EXPECT_EQ(eq.status().code(), StatusCode::InvariantViolation);
 }
 
 TEST(AlignInterfaces, CountMismatchIsLoud) {
@@ -307,7 +306,7 @@ TEST(Cec, ProvesMappedExamplesEquivalent) {
     const Library lib = load_msu_big();
     for (const std::string& path : example_circuits()) {
         SCOPED_TRACE(path);
-        const Network net = read_blif_file(path);
+        const Network net = read_blif_file_checked(path).take_or_raise();
         const MapResult mapped = BaseMapper(lib).map(decompose(net).graph);
         const StatusOr<CecResult> cec =
             check_equivalence(net, mapped.netlist.to_network(lib));
@@ -320,7 +319,8 @@ TEST(Cec, ProvesMappedExamplesEquivalent) {
 TEST(Cec, SweepingMergesNodes) {
     const Library lib = load_msu_big();
     const Network net =
-        read_blif_file(std::string(LILY_SOURCE_DIR) + "/examples/circuits/parity8.blif");
+        read_blif_file_checked(std::string(LILY_SOURCE_DIR) + "/examples/circuits/parity8.blif")
+            .take_or_raise();
     const MapResult mapped = BaseMapper(lib).map(decompose(net).graph);
     const StatusOr<CecResult> cec = check_equivalence(net, mapped.netlist.to_network(lib));
     ASSERT_TRUE(cec.is_ok());
@@ -332,7 +332,8 @@ TEST(Cec, SweepingMergesNodes) {
 TEST(Cec, RefutesFlippedGateWithReplayableCounterexample) {
     const Library lib = load_msu_big();
     const Network net =
-        read_blif_file(std::string(LILY_SOURCE_DIR) + "/examples/circuits/full_adder.blif");
+        read_blif_file_checked(std::string(LILY_SOURCE_DIR) + "/examples/circuits/full_adder.blif")
+            .take_or_raise();
     MapResult mapped = BaseMapper(lib).map(decompose(net).graph);
     ASSERT_TRUE(inject_wrong_cover(mapped.netlist, lib));
     const Network impl = mapped.netlist.to_network(lib);
@@ -406,10 +407,22 @@ TEST(Cec, TinyOutputBudgetIsInconclusiveNeverWrong) {
 
 // ------------------------------------------------------------------ lint
 
+/// y = (a & b) ^ c: a clean network for the corruption cases below.
+Network small_net() {
+    Network net("small");
+    const NodeId a = net.add_input("a");
+    const NodeId b = net.add_input("b");
+    const NodeId c = net.add_input("c");
+    net.add_output("y", net.make_xor2(net.make_and2(a, b), c));
+    return net;
+}
+
 TEST(Lint, CleanExamplesHaveNoFindings) {
+    const CheckReport small = lint_network(small_net());
+    EXPECT_TRUE(small.empty()) << small.to_string();
     for (const std::string& path : example_circuits()) {
         SCOPED_TRACE(path);
-        const CheckReport rep = lint_network(read_blif_file(path));
+        const CheckReport rep = lint_network(read_blif_file_checked(path).take_or_raise());
         EXPECT_TRUE(rep.empty()) << rep.to_string();
     }
 }
@@ -424,6 +437,15 @@ TEST(Lint, FlagsCombinationalCycle) {
     const CheckReport rep = lint_network(net);
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("cycle")) << rep.to_string();
+
+    // An appended fanin pointing at a later node, with no fanout edge to
+    // match it (what lily_lint --inject=cycle does).
+    Network small = small_net();
+    const NodeId last = static_cast<NodeId>(small.node_count() - 1);
+    small.node(small.logic_nodes().front()).fanins.push_back(last);
+    const CheckReport appended = lint_network(small);
+    EXPECT_TRUE(appended.mentions("cycle")) << appended.to_string();
+    EXPECT_TRUE(appended.mentions("asymmetry")) << appended.to_string();
 }
 
 TEST(Lint, FlagsSelfLoop) {
@@ -435,6 +457,11 @@ TEST(Lint, FlagsSelfLoop) {
     const CheckReport rep = lint_network(net);
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("self-loop")) << rep.to_string();
+
+    Network small = small_net();
+    const NodeId early = small.logic_nodes().front();
+    small.node(early).fanins.push_back(early);
+    EXPECT_TRUE(lint_network(small).mentions("self-loop"));
 }
 
 TEST(Lint, FlagsFloatingInputAndDeadCone) {
@@ -448,6 +475,12 @@ TEST(Lint, FlagsFloatingInputAndDeadCone) {
     EXPECT_FALSE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("floating input")) << rep.to_string();
     EXPECT_TRUE(rep.mentions("dead cone")) << rep.to_string();
+
+    Network small = small_net();
+    small.make_not(small.inputs().front(), "unused_inv");  // no fanouts, drives no output
+    const CheckReport dangling = lint_network(small);
+    EXPECT_FALSE(dangling.has_errors());
+    EXPECT_TRUE(dangling.mentions("dead cone: node 'unused_inv'")) << dangling.to_string();
 }
 
 TEST(Lint, FlagsConstantMergeableLogic) {
@@ -468,6 +501,46 @@ TEST(Lint, FlagsDuplicateOutputName) {
     const CheckReport rep = lint_network(net);
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("declared more than once")) << rep.to_string();
+
+    Network small = small_net();
+    small.node(small.logic_nodes().front()).name = "a";  // collides with the PI
+    EXPECT_TRUE(lint_network(small).mentions("net 'a' is driven by nodes"));
+}
+
+TEST(Lint, FlagsFanoutAsymmetry) {
+    Network net = small_net();
+    const NodeId y = net.logic_nodes().back();
+    net.node(net.node(y).fanins.front()).fanouts.clear();  // drop the back edge
+    const CheckReport rep = lint_network(net);
+    EXPECT_TRUE(rep.has_errors());
+    EXPECT_TRUE(rep.mentions("asymmetry")) << rep.to_string();
+}
+
+TEST(Lint, FlagsSopOutOfBounds) {
+    Network net = small_net();
+    Node& y = net.node(net.logic_nodes().back());
+    y.function.cubes.push_back(Cube::literal(13, true));  // node has 2 fanins
+    const CheckReport rep = lint_network(net);
+    EXPECT_TRUE(rep.has_errors());
+    EXPECT_TRUE(rep.mentions("SOP references fanin slot 13")) << rep.to_string();
+}
+
+TEST(Lint, FlagsBrokenNodeRecords) {
+    Network net = small_net();
+    const NodeId a = net.inputs().front();
+    const NodeId b = net.inputs()[1];
+    net.node(a).fanins.push_back(b);  // PI with a fanin ...
+    net.node(b).fanouts.push_back(a);  // ... kept symmetric
+    net.node(b).fanouts.push_back(999);
+    net.node(net.inputs().back()).name.clear();
+    net.node(net.outputs().front().driver).is_po_driver = false;
+    net.node(net.logic_nodes().front()).is_po_driver = true;
+    const CheckReport rep = lint_network(net);
+    EXPECT_TRUE(rep.mentions("primary input 'a' has fanins")) << rep.to_string();
+    EXPECT_TRUE(rep.mentions("out-of-range fanout 999")) << rep.to_string();
+    EXPECT_TRUE(rep.mentions("empty name")) << rep.to_string();
+    EXPECT_TRUE(rep.mentions("is_po_driver flag is unset")) << rep.to_string();
+    EXPECT_TRUE(rep.mentions("is_po_driver flag set")) << rep.to_string();
 }
 
 TEST(Lint, FlagsDeadFaninAndDeadPoDriver) {
@@ -494,7 +567,8 @@ FlowOptions prove_options() {
 TEST(FlowVerify, LilyFlowProvesMappedNetlist) {
     const Library lib = load_msu_big();
     const Network net =
-        read_blif_file(std::string(LILY_SOURCE_DIR) + "/examples/circuits/full_adder.blif");
+        read_blif_file_checked(std::string(LILY_SOURCE_DIR) + "/examples/circuits/full_adder.blif")
+            .take_or_raise();
     const StatusOr<FlowResult> out = run_lily_flow_checked(net, lib, prove_options());
     ASSERT_TRUE(out.is_ok()) << out.status().to_string();
     const StageDiagnostics* vd = out.value().diagnostics.find("verify");
@@ -506,7 +580,8 @@ TEST(FlowVerify, LilyFlowProvesMappedNetlist) {
 TEST(FlowVerify, SimLevelRecordsSimulationOnly) {
     const Library lib = load_msu_big();
     const Network net =
-        read_blif_file(std::string(LILY_SOURCE_DIR) + "/examples/circuits/mux4.blif");
+        read_blif_file_checked(std::string(LILY_SOURCE_DIR) + "/examples/circuits/mux4.blif")
+            .take_or_raise();
     FlowOptions opts;
     opts.verify = VerifyLevel::Sim;
     const StatusOr<FlowResult> out = run_lily_flow_checked(net, lib, opts);
@@ -521,7 +596,8 @@ TEST(FlowVerify, MiscompareFaultFailsTheFlowWithCounterexample) {
     FaultGuard fault("verify:miscompare");
     const Library lib = load_msu_big();
     const Network net =
-        read_blif_file(std::string(LILY_SOURCE_DIR) + "/examples/circuits/full_adder.blif");
+        read_blif_file_checked(std::string(LILY_SOURCE_DIR) + "/examples/circuits/full_adder.blif")
+            .take_or_raise();
     const StatusOr<FlowResult> out = run_lily_flow_checked(net, lib, prove_options());
     ASSERT_FALSE(out.is_ok());
     EXPECT_EQ(out.status().code(), StatusCode::InvariantViolation);
@@ -532,7 +608,8 @@ TEST(FlowVerify, MiscompareFaultFailsTheFlowWithCounterexample) {
 TEST(FlowVerify, EcoFlowProvesEditedNetlist) {
     const Library lib = load_msu_big();
     const Network net =
-        read_blif_file(std::string(LILY_SOURCE_DIR) + "/examples/circuits/parity8.blif");
+        read_blif_file_checked(std::string(LILY_SOURCE_DIR) + "/examples/circuits/parity8.blif")
+            .take_or_raise();
     StatusOr<PipelineState> built = build_pipeline(net, lib, prove_options());
     ASSERT_TRUE(built.is_ok()) << built.status().to_string();
     PipelineState state = std::move(built).value();
