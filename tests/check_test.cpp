@@ -2,8 +2,8 @@
 // ones: each test deliberately breaks one invariant (a broken fanout edge,
 // an off-chip cell, a functionally wrong cover...) and asserts the
 // matching checker reports the right CheckIssue. Network-level corruption
-// (cycles, edge asymmetry) is lint_network's, in the Lint suite of
-// verify_test.cpp.
+// (cycles, edge asymmetry) is lint_network's, in the NetworkChecker and
+// Lint suites of verify_test.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
