@@ -21,6 +21,14 @@
 
 using namespace lily;
 
+/// Parse and validate a genlib file; throws with the parser's or the
+/// validator's message (e.g. "library: no inverter gate").
+Library load_library(const std::string& path) {
+    Library lib = read_genlib_file_checked(path).take_or_raise();
+    if (const Status valid = lib.validate(); !valid.is_ok()) valid.raise();
+    return lib;
+}
+
 int main(int argc, char** argv) {
     if (argc < 2) {
         std::fprintf(stderr,
@@ -62,8 +70,7 @@ int main(int argc, char** argv) {
 
     try {
         const Network net = read_blif_file_checked(circuit_path).take_or_raise();
-        const Library lib =
-            lib_path.empty() ? load_msu_big() : read_genlib_file_checked(lib_path).take_or_raise();
+        const Library lib = lib_path.empty() ? load_msu_big() : load_library(lib_path);
         std::printf("circuit %s: %zu PIs, %zu POs, %zu nodes; library %s (%zu gates)\n",
                     net.name().c_str(), net.inputs().size(), net.outputs().size(),
                     net.logic_node_count(), lib.name().c_str(), lib.size());

@@ -56,6 +56,28 @@ for inject in cycle offchip badpad wrong-cover dup-drive; do
   fi
 done
 
+# A library without an inverter must be refused when it is loaded, with the
+# validator's message: lily_lint treats it as an input error (exit 2),
+# map_blif as a failed run (exit 1).
+expect_no_inverter() {  # <expected exit status> <command...>
+  local want="$1"
+  shift
+  echo "+ $* (expect exit $want, 'no inverter')"
+  set +e
+  out="$("$@" 2>&1)"
+  status=$?
+  set -e
+  if [[ "$status" -ne "$want" ]] || ! grep -q "no inverter" <<<"$out"; then
+    echo "FAIL: exited $status, expected $want and a 'no inverter' message:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+}
+expect_no_inverter 2 "$LINT" examples/circuits/full_adder.blif \
+    tests/data/bad/no_inverter.genlib
+expect_no_inverter 1 build-ci-sanitize/examples/map_blif examples/circuits/parity8.blif \
+    --lib tests/data/bad/no_inverter.genlib
+
 # ---- Recovery-path suite (sanitized build) -----------------------------
 # Injected recovery-ladder faults must be *survived*: the flow completes
 # (exit 0), reports itself degraded, and the fallback result passes the

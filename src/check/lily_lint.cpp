@@ -55,21 +55,21 @@
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
 #include "check/mapped_checker.hpp"
-#include "flow/pipeline.hpp"
-#include "netlist/simulate.hpp"
 #include "check/match_checker.hpp"
 #include "check/placement_checker.hpp"
 #include "check/subject_checker.hpp"
 #include "flow/flow.hpp"
+#include "flow/pipeline.hpp"
 #include "flow/report.hpp"
 #include "map/base_mapper.hpp"
-#include "util/io.hpp"
 #include "netlist/blif.hpp"
+#include "netlist/simulate.hpp"
 #include "place/netlist_adapters.hpp"
 #include "subject/decompose.hpp"
+#include "util/check.hpp"
 #include "util/fault.hpp"
+#include "util/io.hpp"
 #include "verify/cec.hpp"
 #include "verify/lint.hpp"
 
@@ -224,14 +224,12 @@ bool load_inputs(const LintArgs& args, Network& net, Library& lib) {
         std::fprintf(stderr, "lily_lint: %s\n", parsed_lib.status().to_string().c_str());
         return false;
     }
-    net = std::move(parsed_net).value();
-    lib = std::move(parsed_lib).value();
-    try {
-        lib.validate();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "lily_lint: %s\n", e.what());
+    if (const Status valid = parsed_lib.value().validate(); !valid.is_ok()) {
+        std::fprintf(stderr, "lily_lint: %s\n", valid.to_string().c_str());
         return false;
     }
+    net = std::move(parsed_net).value();
+    lib = std::move(parsed_lib).value();
     return true;
 }
 
@@ -464,11 +462,12 @@ int main(int argc, char** argv) {
         }
         run_stage("network", lint_network(net));
 
-        // Stage 2: decomposition into the subject graph.
+        // Stage 2: decomposition into the subject graph. decompose() raised
+        // any structural error already; the re-run here shows its warnings.
         const DecomposeResult sub = decompose(net);
-        SubjectChecker subject_checker;
-        run_stage("subject", paranoid ? subject_checker.check_against_source(sub.graph, net)
-                                      : subject_checker.check(sub.graph));
+        CheckReport subject = sub.graph.check();
+        if (paranoid) subject.merge(SubjectChecker{}.check_against_source(sub.graph, net));
+        run_stage("subject", subject);
 
         // Stage 3: pattern matches at every node.
         run_stage("match",
@@ -483,9 +482,12 @@ int main(int argc, char** argv) {
         if (args.inject == "dup-drive" && !mapped.netlist.gates.empty()) {
             mapped.netlist.gates.push_back(mapped.netlist.gates.back());
         }
-        MappedChecker mapped_checker(lib);
-        run_stage("mapped", paranoid ? mapped_checker.check_against(mapped.netlist, net)
-                                     : mapped_checker.check(mapped.netlist));
+        const MappedChecker mapped_checker(lib);
+        CheckReport mapped_report = mapped.netlist.check(lib);
+        if (paranoid && !mapped_report.has_errors()) {
+            mapped_report.merge(mapped_checker.check_against(mapped.netlist, net));
+        }
+        run_stage("mapped", mapped_report);
         if (all.has_errors() && (args.inject == "dup-drive" || args.inject == "cycle")) {
             // The remaining stages would operate on the corrupted data;
             // report and stop (mirrors the flow, which throws here).

@@ -2,80 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "netlist/simulate.hpp"
 
 namespace lily {
 
-CheckReport MappedChecker::check(const MappedNetlist& m) const {
-    CheckReport rep;
-    const CheckStage stage = CheckStage::Mapped;
-
-    if (m.subject_input_names.size() != m.subject_inputs.size()) {
-        rep.error(stage, kNoCheckNode,
-                  "subject input names (" + std::to_string(m.subject_input_names.size()) +
-                      ") and ids (" + std::to_string(m.subject_inputs.size()) +
-                      ") out of sync");
-    }
-
-    std::unordered_set<SubjectId> inputs(m.subject_inputs.begin(), m.subject_inputs.end());
-    std::unordered_map<SubjectId, std::size_t> driven;  // signal -> instance index
-    std::unordered_set<SubjectId> used;                 // signals consumed somewhere
-    for (std::size_t i = 0; i < m.gates.size(); ++i) {
-        const GateInstance& inst = m.gates[i];
-        if (inst.gate >= lib_->size()) {
-            rep.error(stage, i, "instance gate id " + std::to_string(inst.gate) +
-                                    " out of library range");
-            continue;
-        }
-        const Gate& gate = lib_->gate(inst.gate);
-        if (inst.inputs.size() != gate.n_inputs()) {
-            rep.error(stage, i,
-                      "instance of '" + gate.name + "' binds " +
-                          std::to_string(inst.inputs.size()) + " pins, gate has " +
-                          std::to_string(gate.n_inputs()));
-        }
-        for (const SubjectId in : inst.inputs) {
-            used.insert(in);
-            if (!inputs.contains(in) && !driven.contains(in)) {
-                rep.error(stage, i,
-                          "pin signal " + std::to_string(in) +
-                              " is neither a subject input nor driven by an earlier "
-                              "instance (topological order violated or undriven)");
-            }
-        }
-        if (inputs.contains(inst.driver)) {
-            rep.error(stage, i,
-                      "instance drives subject input signal " + std::to_string(inst.driver));
-        } else if (const auto [it, inserted] = driven.emplace(inst.driver, i); !inserted) {
-            rep.error(stage, i,
-                      "signal " + std::to_string(inst.driver) +
-                          " driven twice (also by instance " + std::to_string(it->second) +
-                          ")");
-        }
-    }
-    for (const MappedOutput& po : m.outputs) {
-        used.insert(po.driver);
-        if (!inputs.contains(po.driver) && !driven.contains(po.driver)) {
-            rep.error(stage, kNoCheckNode,
-                      "output '" + po.name + "' driven by unresolvable signal " +
-                          std::to_string(po.driver));
-        }
-    }
-    for (const auto& [signal, index] : driven) {
-        if (!used.contains(signal)) {
-            rep.warning(stage, index, "instance output feeds no pin and no primary output");
-        }
-    }
-    return rep;
-}
-
 CheckReport MappedChecker::check_against(const MappedNetlist& m, const Network& reference) const {
-    CheckReport rep = check(m);
-    if (rep.has_errors()) return rep;  // to_network would throw on a broken netlist
-
+    CheckReport rep;
     if (m.subject_inputs.size() != reference.inputs().size() ||
         m.outputs.size() != reference.outputs().size()) {
         rep.error(CheckStage::Mapped, kNoCheckNode,
@@ -117,7 +50,7 @@ CheckReport MappedChecker::check_timing(const MappedNetlist& m,
     // and pad capacitance only add on top).
     std::vector<double> pin_load(m.gates.size(), 0.0);
     for (const GateInstance& inst : m.gates) {
-        if (inst.gate >= lib_->size()) continue;  // structural break; check() reports it
+        if (inst.gate >= lib_->size()) continue;  // structural break; m.check() reports it
         const Gate& gate = lib_->gate(inst.gate);
         for (std::size_t p = 0; p < inst.inputs.size() && p < gate.pins.size(); ++p) {
             const std::size_t src = m.instance_driving(inst.inputs[p]);

@@ -1,14 +1,14 @@
-// Mapped-netlist invariants: structural well-formedness (every pin driven,
-// topological instance order, no double drivers), functional equivalence of
-// the mapped circuit against a reference network (the inchoate/source
-// network) via random simulation, and sanity of a timing report over the
-// netlist (finite, non-negative, monotone arrivals; loads at least the
-// connected pin capacitance — wire load can only add).
+// The mapped netlist against other stages: functional equivalence against a
+// reference network (the inchoate/source network) via random simulation,
+// and sanity of a timing report over the netlist (finite, non-negative,
+// monotone arrivals; loads at least the connected pin capacitance — wire
+// load can only add). The netlist's own structural invariants are
+// MappedNetlist::check()'s.
 #pragma once
 
-#include "check/check.hpp"
 #include "map/mapped_netlist.hpp"
 #include "sta/timing.hpp"
+#include "util/check.hpp"
 
 namespace lily {
 
@@ -22,12 +22,10 @@ public:
     explicit MappedChecker(const Library& lib, MappedCheckerOptions opts = {})
         : lib_(&lib), opts_(opts) {}
 
-    /// Structural invariants only (CheckLevel::Light).
-    CheckReport check(const MappedNetlist& m) const;
-
-    /// Structural invariants plus equivalence against `reference` (the
-    /// source network or the subject graph's network view) by random
-    /// simulation (CheckLevel::Paranoid).
+    /// Equivalence against `reference` (the source network or the subject
+    /// graph's network view) by random simulation (CheckLevel::Paranoid).
+    /// `m` must pass m.check(lib) first — the mappers guarantee it;
+    /// to_network throws on a broken netlist.
     CheckReport check_against(const MappedNetlist& m, const Network& reference) const;
 
     /// Timing-report sanity for this netlist: arrivals finite, non-negative

@@ -7,8 +7,8 @@
 // the gate function, with repeated bindings identified).
 #pragma once
 
-#include "check/check.hpp"
 #include "match/matcher.hpp"
+#include "util/check.hpp"
 
 namespace lily {
 

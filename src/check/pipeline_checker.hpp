@@ -9,7 +9,7 @@
 #include <span>
 #include <string>
 
-#include "check/check.hpp"
+#include "util/check.hpp"
 #include "util/version.hpp"
 
 namespace lily {

@@ -15,43 +15,6 @@ std::string fmt(const Point& p) {
 
 }  // namespace
 
-CheckReport PlacementChecker::check_netlist(const PlacementNetlist& nl) const {
-    CheckReport rep;
-    const CheckStage stage = CheckStage::Placement;
-    if (nl.cell_area.size() != nl.n_cells) {
-        rep.error(stage, kNoCheckNode,
-                  "cell_area has " + std::to_string(nl.cell_area.size()) + " entries for " +
-                      std::to_string(nl.n_cells) + " cells");
-    }
-    for (std::size_t c = 0; c < nl.cell_area.size(); ++c) {
-        if (!(nl.cell_area[c] >= 0.0) || !std::isfinite(nl.cell_area[c])) {
-            rep.error(stage, c, "cell area " + std::to_string(nl.cell_area[c]) +
-                                    " is negative or non-finite");
-        }
-    }
-    for (std::size_t i = 0; i < nl.nets.size(); ++i) {
-        const PlacementNetlist::Net& net = nl.nets[i];
-        for (const std::size_t c : net.cells) {
-            if (c >= nl.n_cells) {
-                rep.error(stage, i,
-                          "net " + std::to_string(i) + " references cell " + std::to_string(c) +
-                              " (only " + std::to_string(nl.n_cells) + " cells)");
-            }
-        }
-        for (const std::size_t p : net.pads) {
-            if (p >= nl.pad_positions.size()) {
-                rep.error(stage, i,
-                          "net " + std::to_string(i) + " references pad " + std::to_string(p) +
-                              " (only " + std::to_string(nl.pad_positions.size()) + " pads)");
-            }
-        }
-        if (net.pin_count() < 2) {
-            rep.warning(stage, i, "net " + std::to_string(i) + " has fewer than 2 pins");
-        }
-    }
-    return rep;
-}
-
 CheckReport PlacementChecker::check_positions(std::span<const Point> positions,
                                               std::size_t n_cells, const Rect& region,
                                               double slack) const {
@@ -86,21 +49,18 @@ CheckReport PlacementChecker::check_positions(std::span<const Point> positions,
 
 CheckReport PlacementChecker::check_global(const PlacementNetlist& nl,
                                            const GlobalPlacement& gp) const {
-    CheckReport rep = check_netlist(nl);
-    rep.merge(check_positions(gp.positions, nl.n_cells, gp.region));
-    return rep;
+    return check_positions(gp.positions, nl.n_cells, gp.region);
 }
 
 CheckReport PlacementChecker::check_detailed(const PlacementNetlist& nl,
                                              const DetailedPlacement& dp) const {
-    CheckReport rep = check_netlist(nl);
     // A packed row can overflow the region horizontally by at most one
     // cell; allow the widest cell as slack.
     double slack = 0.0;
     for (const double a : nl.cell_area) {
         slack = std::max(slack, a / std::max(dp.row_height, 1e-12));
     }
-    rep.merge(check_positions(dp.positions, nl.n_cells, dp.region, slack));
+    CheckReport rep = check_positions(dp.positions, nl.n_cells, dp.region, slack);
 
     const CheckStage stage = CheckStage::Placement;
     if (dp.row_of.size() != nl.n_cells) {

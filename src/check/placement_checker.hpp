@@ -1,14 +1,15 @@
-// Placement invariants: every index valid, every coordinate finite, every
-// cell inside the chip region, legalized cells aligned to their rows, and
-// pre-placed I/O pads actually sitting on the region boundary (the paper
-// fixes the pad assignment before mapping; a pad drifting off the boundary
-// silently skews every wire estimate drawn from it).
+// Placement geometry invariants (the placement view's own indices are
+// PlacementNetlist::check()'s): every coordinate finite, every cell inside
+// the chip region, legalized cells aligned to their rows, and pre-placed
+// I/O pads actually sitting on the region boundary (the paper fixes the pad
+// assignment before mapping; a pad drifting off the boundary silently skews
+// every wire estimate drawn from it).
 #pragma once
 
 #include <span>
 
-#include "check/check.hpp"
 #include "place/placement.hpp"
+#include "util/check.hpp"
 
 namespace lily {
 
@@ -24,10 +25,6 @@ struct PlacementCheckerOptions {
 class PlacementChecker {
 public:
     explicit PlacementChecker(PlacementCheckerOptions opts = {}) : opts_(opts) {}
-
-    /// Index validity of the placement view itself (net pin indices, array
-    /// sizes, non-negative areas).
-    CheckReport check_netlist(const PlacementNetlist& nl) const;
 
     /// Cell positions: correct count, finite, inside `region` (within
     /// `slack` extra length units on each side — row legalization may

@@ -12,7 +12,7 @@
 
 #include <string>
 
-#include "check/check.hpp"
+#include "util/check.hpp"
 
 namespace lily {
 

@@ -1,12 +1,11 @@
-// Invariants of the NAND2/INV subject graph (the inchoate network):
-// base-function-only ops, topological fanin order, fanin/fanout edge
-// symmetry, I/O sanity — plus, in paranoid mode, functional equivalence of
-// the decomposition against the source network via random simulation.
+// The subject graph against its source: functional equivalence of the
+// decomposition by random simulation (paranoid mode). The graph's own
+// structural invariants are SubjectGraph::check()'s.
 #pragma once
 
-#include "check/check.hpp"
 #include "netlist/network.hpp"
 #include "subject/subject_graph.hpp"
+#include "util/check.hpp"
 
 namespace lily {
 
@@ -21,12 +20,10 @@ class SubjectChecker {
 public:
     explicit SubjectChecker(SubjectCheckerOptions opts = {}) : opts_(opts) {}
 
-    /// Structural invariants only (CheckLevel::Light).
-    CheckReport check(const SubjectGraph& g) const;
-
-    /// Structural invariants plus decomposition equivalence: the subject
-    /// graph, converted back to a NAND2/INV network, must simulate
-    /// identically to `source` on random vectors (CheckLevel::Paranoid).
+    /// Decomposition equivalence: the subject graph, converted back to a
+    /// NAND2/INV network, must simulate identically to `source` on random
+    /// vectors (CheckLevel::Paranoid). `g` must pass g.check() first —
+    /// decompose() guarantees it; simulating a broken graph can crash.
     CheckReport check_against_source(const SubjectGraph& g, const Network& source) const;
 
 private:

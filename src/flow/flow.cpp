@@ -6,9 +6,7 @@
 #include "flow/stage.hpp"
 
 #include "check/mapped_checker.hpp"
-#include "check/match_checker.hpp"
 #include "check/placement_checker.hpp"
-#include "check/subject_checker.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/simulate.hpp"
 #include "subject/decompose.hpp"
@@ -16,39 +14,6 @@
 namespace lily {
 
 namespace {
-
-// ---- CheckLevel wiring: per-stage self-verification --------------------
-
-void verify_subject(CheckLevel level, const SubjectGraph& g, const Network& source,
-                    const char* context) {
-    if (level == CheckLevel::Off) return;
-    const SubjectChecker checker;
-    (level == CheckLevel::Paranoid ? checker.check_against_source(g, source)
-                                   : checker.check(g))
-        .throw_if_errors(context);
-}
-
-/// Paranoid only: every match a mapper chose must be a legal cover that
-/// computes its cone's function.
-template <typename Solution>
-void verify_chosen_matches(CheckLevel level, const Library& lib, const SubjectGraph& g,
-                           const std::vector<Solution>& solution, const char* context) {
-    if (level != CheckLevel::Paranoid) return;
-    const MatchChecker checker(lib);
-    CheckReport rep;
-    for (const Solution& s : solution) {
-        if (s.has_match) rep.merge(checker.check_function(g, s.match));
-    }
-    rep.throw_if_errors(context);
-}
-
-void verify_mapped(CheckLevel level, const Library& lib, const MappedNetlist& m,
-                   const Network& source, const char* context) {
-    if (level == CheckLevel::Off) return;
-    const MappedChecker checker(lib);
-    (level == CheckLevel::Paranoid ? checker.check_against(m, source) : checker.check(m))
-        .throw_if_errors(context);
-}
 
 /// The stages every pipeline shares once a mapped netlist exists:
 /// placement, routing (with the HPWL rung of the degradation ladder),
@@ -179,26 +144,20 @@ StatusOr<FlowResult> run_backend_stages(StageExecutor& exec, const MappedNetlist
 
     if (ctx.checks_enabled()) {
         Status checked = exec.run(StageId::Checks, [&](StageScope& s) -> Status {
-            LILY_RETURN_IF_ERROR(guarded_check([&] {
-                const MappedChecker mapped_checker(lib);
-                const PlacementChecker placement_checker;
-                CheckReport rep = mapped_checker.check(mapped);
-                rep.merge(placement_checker.check_global(placed_netlist, global));
-                rep.merge(placement_checker.check_detailed(view.netlist, detailed));
-                if (!pads.has_value()) {
-                    // Caller-supplied pad rings are a geometry contract of
-                    // their own: they may sit on the boundary of a
-                    // *different* region (e.g. a fixed ring reused across
-                    // two mappings), so after rescaling they need not land
-                    // on this region's boundary. Only the ring this back
-                    // end placed itself must satisfy the boundary
-                    // invariant.
-                    rep.merge(
-                        placement_checker.check_pads(view.netlist.pad_positions, region));
-                }
-                rep.merge(mapped_checker.check_timing(mapped, timing));
-                rep.throw_if_errors("run_backend");
-            }));
+            const PlacementChecker placement_checker;
+            CheckReport rep = placement_checker.check_global(placed_netlist, global);
+            rep.merge(placement_checker.check_detailed(view.netlist, detailed));
+            if (!pads.has_value()) {
+                // Caller-supplied pad rings are a geometry contract of their
+                // own: they may sit on the boundary of a *different* region
+                // (e.g. a fixed ring reused across two mappings), so after
+                // rescaling they need not land on this region's boundary.
+                // Only the ring this back end placed itself must satisfy
+                // the boundary invariant.
+                rep.merge(placement_checker.check_pads(view.netlist.pad_positions, region));
+            }
+            rep.merge(MappedChecker(lib).check_timing(mapped, timing));
+            LILY_RETURN_IF_ERROR(rep.to_status("run_backend"));
             s.ok_if_unset();
             return Status::ok();
         });
@@ -230,9 +189,7 @@ Status run_decompose_stage(StageExecutor& exec, const Network& net,
         return Status::ok();
     });
     LILY_RETURN_IF_ERROR(decomposed);
-    return guarded_check([&] {
-        verify_subject(ctx.check(), sub->graph, net, ctx.context("decompose").c_str());
-    });
+    return verify_decomposition(ctx.check(), sub->graph, net, ctx.context("decompose"));
 }
 
 }  // namespace
@@ -339,6 +296,11 @@ StatusOr<FlowResult> run_backend_checked(const MappedNetlist& mapped, const Libr
                                          const FlowOptions& opts,
                                          std::optional<PadsInRegion> pads,
                                          std::optional<std::vector<Point>> seed_positions) {
+    // The flows hand the back end a netlist the mapper already checked; a
+    // direct caller's netlist gets its structural check here.
+    if (opts.check != CheckLevel::Off) {
+        LILY_RETURN_IF_ERROR(mapped.check(lib).to_status("run_backend"));
+    }
     FlowDiagnostics diag;
     FlowContext ctx(flow_label::kBackend, opts, diag);
     StageExecutor exec(ctx);
@@ -373,11 +335,8 @@ StatusOr<FlowResult> run_baseline_flow_checked(const Network& net, const Library
         return Status::ok();
     });
     LILY_RETURN_IF_ERROR(mapped);
-    LILY_RETURN_IF_ERROR(guarded_check([&] {
-        verify_chosen_matches(opts.check, lib, sub->graph, res->solution,
-                              "run_baseline_flow: matches");
-        verify_mapped(opts.check, lib, res->netlist, net, "run_baseline_flow: mapping");
-    }));
+    LILY_RETURN_IF_ERROR(verify_mapping(opts.check, lib, sub->graph, res->solution,
+                                        res->netlist, net, "run_baseline_flow: mapping"));
     LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, res->netlist));
     return run_backend_stages(exec, res->netlist, lib, std::nullopt, std::nullopt);
 }
@@ -440,12 +399,9 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     LILY_RETURN_IF_ERROR(map_status);
 
     if (fallback.has_value()) {
-        LILY_RETURN_IF_ERROR(guarded_check([&] {
-            verify_chosen_matches(opts.check, lib, sub->graph, fallback->solution,
-                                  "run_lily_flow: fallback matches");
-            verify_mapped(opts.check, lib, fallback->netlist, net,
-                          "run_lily_flow: fallback mapping");
-        }));
+        LILY_RETURN_IF_ERROR(verify_mapping(opts.check, lib, sub->graph, fallback->solution,
+                                            fallback->netlist, net,
+                                            "run_lily_flow: fallback mapping"));
         LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, fallback->netlist));
         StatusOr<FlowResult> out = run_backend_stages(exec, fallback->netlist, lib,
                                                       std::nullopt, std::nullopt, capture);
@@ -458,23 +414,18 @@ StatusOr<FlowResult> run_lily_flow_checked(const Network& net, const Library& li
     }
 
     const LilyResult& res = mapped.value();
-    LILY_RETURN_IF_ERROR(guarded_check([&] {
-        verify_chosen_matches(opts.check, lib, sub->graph, res.solution,
-                              "run_lily_flow: matches");
-        verify_mapped(opts.check, lib, res.netlist, net, "run_lily_flow: mapping");
-        if (opts.check != CheckLevel::Off) {
-            // The inchoate placement every wire estimate was drawn from, and
-            // the pre-mapping pad ring the back end will reuse.
-            const PlacementChecker placement_checker;
-            CheckReport rep =
-                placement_checker.check_positions(res.inchoate_placement.positions,
-                                                  res.inchoate_placement.positions.size(),
-                                                  res.inchoate_placement.region);
-            rep.merge(placement_checker.check_pads(res.pad_positions,
-                                                   res.inchoate_placement.region));
-            rep.throw_if_errors("run_lily_flow: inchoate placement");
-        }
-    }));
+    LILY_RETURN_IF_ERROR(verify_mapping(opts.check, lib, sub->graph, res.solution, res.netlist,
+                                        net, "run_lily_flow: mapping"));
+    if (opts.check != CheckLevel::Off) {
+        // The inchoate placement every wire estimate was drawn from, and the
+        // pre-mapping pad ring the back end will reuse.
+        const PlacementChecker placement_checker;
+        CheckReport rep = placement_checker.check_positions(
+            res.inchoate_placement.positions, res.inchoate_placement.positions.size(),
+            res.inchoate_placement.region);
+        rep.merge(placement_checker.check_pads(res.pad_positions, res.inchoate_placement.region));
+        LILY_RETURN_IF_ERROR(rep.to_status("run_lily_flow: inchoate placement"));
+    }
 
     LILY_RETURN_IF_ERROR(run_verify_stage(ctx, net, lib, res.netlist));
 
@@ -582,8 +533,8 @@ StatusOr<FlowResult> run_flow_from_files(const std::string& blif_path,
         return Status::ok();
     });
     LILY_RETURN_IF_ERROR(genlib_parsed);
-    LILY_RETURN_IF_ERROR(guarded_check([&] { lib->value().validate(); })
-                             .with_context("run_flow_from_files: library validation"));
+    LILY_RETURN_IF_ERROR(
+        lib->value().validate().with_context("run_flow_from_files: library validation"));
 
     std::optional<StatusOr<Network>> net;
     Status blif_parsed = exec.run(StageId::ParseBlif, [&](StageScope& s) -> Status {

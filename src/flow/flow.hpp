@@ -18,15 +18,15 @@
 #include <string>
 #include <string_view>
 
-#include "check/check.hpp"
 #include "flow/diagnostics.hpp"
 #include "lily/lily_mapper.hpp"
-#include "subject/decompose.hpp"
 #include "map/base_mapper.hpp"
 #include "route/chip_area.hpp"
 #include "route/global_router.hpp"
 #include "sta/timing.hpp"
+#include "subject/decompose.hpp"
 #include "util/budget.hpp"
+#include "util/check.hpp"
 #include "util/status.hpp"
 #include "verify/cec.hpp"
 

@@ -136,6 +136,7 @@ StatusOr<std::shared_ptr<const Library>> ArtifactCache::library_for(
     // across differently-named jobs keeps served bytes identical.
     StatusOr<Library> parsed = read_genlib_checked(genlib_text, "genlib");
     if (!parsed.is_ok()) return parsed.status();
+    LILY_RETURN_IF_ERROR(parsed.value().validate());  // a failed library is never cached
     auto shared = std::make_shared<const Library>(std::move(parsed.value()));
 
     std::lock_guard<std::mutex> lock(mu_);
@@ -290,9 +291,10 @@ JobOutcome run_flow_job(const JobSpec& spec) {
         try {
             return run_flow_checked(spec.options.kind, network, library, opts);
         } catch (const std::exception& e) {
-            // The checked entry points reserve exceptions for invariant
-            // violations (CheckLevel); a serving job folds those into the
-            // Status taxonomy rather than unwinding out of the worker.
+            // What escapes a checked entry point is a broken always-on
+            // postcondition inside a layer (throw_if_errors); a serving job
+            // folds it into the Status taxonomy rather than unwinding out
+            // of the worker.
             return Status(StatusCode::InvariantViolation, e.what());
         }
     }();

@@ -150,7 +150,9 @@ public:
     ArtifactCache& operator=(const ArtifactCache&) = delete;
 
     /// Parse-or-reuse. The returned object is shared and immutable; it
-    /// stays valid after eviction for as long as the caller holds it.
+    /// stays valid after eviction for as long as the caller holds it. A
+    /// library is validated (Library::validate) once per parse; one that
+    /// fails is returned as an error and never cached.
     StatusOr<std::shared_ptr<const Network>> network_for(std::string_view blif_text,
                                                          CacheProbe* probe = nullptr);
     StatusOr<std::shared_ptr<const Library>> library_for(std::string_view genlib_text,

@@ -7,9 +7,9 @@
 
 #include <string>
 
-#include "check/check.hpp"
 #include "flow/diagnostics.hpp"
 #include "flow/flow.hpp"
+#include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
 #include "util/trace.hpp"

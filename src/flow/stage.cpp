@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "check/subject_checker.hpp"
 #include "util/fault.hpp"
 
 namespace lily {
@@ -74,6 +75,12 @@ double ms_since(StageBudget::Clock::time_point t0) {
 CoverMode effective_cover(const FlowOptions& opts) {
     if (opts.cover.has_value()) return *opts.cover;
     return opts.objective == MapObjective::Delay ? CoverMode::Cones : CoverMode::Trees;
+}
+
+Status verify_decomposition(CheckLevel level, const SubjectGraph& g, const Network& source,
+                            std::string_view context) {
+    if (level != CheckLevel::Paranoid) return Status::ok();
+    return SubjectChecker{}.check_against_source(g, source).to_status(context);
 }
 
 Point rescale_point(const Point& p, const Rect& from, const Rect& to) {

@@ -35,6 +35,8 @@
 #include <string>
 #include <string_view>
 
+#include "check/mapped_checker.hpp"
+#include "check/match_checker.hpp"
 #include "flow/flow.hpp"
 #include "util/alloc_stats.hpp"
 #include "util/trace.hpp"
@@ -109,24 +111,37 @@ CoverMode effective_cover(const FlowOptions& opts);
 /// axis-aligned rectangles) by scaling each axis independently.
 Point rescale_point(const Point& p, const Rect& from, const Rect& to);
 
-/// Fold the checkers' throwing interface into the Status channel: they
-/// signal corrupted pipeline state with std::logic_error.
-template <typename F>
-Status guarded_check(F&& body) {
-    try {
-        body();
-    } catch (const std::exception& e) {
-        return Status(StatusCode::InvariantViolation, e.what());
+/// The CheckLevel gate after decomposition. decompose() and
+/// decompose_incremental() already ran the graph's structural check, so
+/// only Paranoid adds work: equivalence against the source network.
+Status verify_decomposition(CheckLevel level, const SubjectGraph& g, const Network& source,
+                            std::string_view context);
+
+/// The CheckLevel gate after mapping. The mappers already ran the
+/// netlist's structural check (extract_cover), so only Paranoid adds work:
+/// every chosen match must compute its cone's function, and the netlist
+/// must simulate like the source network.
+template <typename Solution>
+Status verify_mapping(CheckLevel level, const Library& lib, const SubjectGraph& g,
+                      const std::vector<Solution>& solution, const MappedNetlist& mapped,
+                      const Network& source, std::string_view context) {
+    if (level != CheckLevel::Paranoid) return Status::ok();
+    const MatchChecker match_checker(lib);
+    CheckReport rep;
+    for (const Solution& s : solution) {
+        if (s.has_match) rep.merge(match_checker.check_function(g, s.match));
     }
-    return Status::ok();
+    rep.merge(MappedChecker(lib).check_against(mapped, source));
+    return rep.to_status(context);
 }
 
 /// Per-flow execution context: options, diagnostics, the whole-flow budget,
 /// check gating, fault probes and the trace sink. One per entry-point
 /// invocation; stages run against it through StageExecutor. Construction
-/// sizes the worker pool and opens the trace flow record; destruction
-/// closes the record and, for a LILY_TRACE-owned sink, appends the
-/// JSON-lines dump to the file.
+/// starts the whole-flow budget clock, picks the trace sink and opens the
+/// trace flow record (it leaves the worker pool alone); destruction closes
+/// the record and, for a LILY_TRACE-owned sink, appends the JSON-lines
+/// dump to the file.
 class FlowContext {
 public:
     FlowContext(const char* flow_label, const FlowOptions& opts, FlowDiagnostics& diag);

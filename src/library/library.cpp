@@ -110,22 +110,22 @@ StatusOr<GateId> Library::add_gate_checked(std::string name, double area,
     return id;
 }
 
-void Library::validate() const {
-    if (inverter_ == kNullGate) throw std::logic_error("library: no inverter gate");
-    if (nand2_ == kNullGate) throw std::logic_error("library: no 2-input NAND gate");
+Status Library::validate() const {
+    const auto invalid = [](std::string message) {
+        return Status(StatusCode::InvariantViolation, "library: " + std::move(message));
+    };
+    if (inverter_ == kNullGate) return invalid("no inverter gate");
+    if (nand2_ == kNullGate) return invalid("no 2-input NAND gate");
     for (const Gate& g : gates_) {
-        if (g.pins.size() != g.n_inputs()) {
-            throw std::logic_error("library: pin/input mismatch in " + g.name);
-        }
-        if (g.patterns.empty()) {
-            throw std::logic_error("library: gate " + g.name + " has no patterns");
-        }
+        if (g.pins.size() != g.n_inputs()) return invalid("pin/input mismatch in " + g.name);
+        if (g.patterns.empty()) return invalid("gate " + g.name + " has no patterns");
         for (const PatternGraph& p : g.patterns) {
             if (p.truth_table() != g.function) {
-                throw std::logic_error("library: pattern function mismatch in " + g.name);
+                return invalid("pattern function mismatch in " + g.name);
             }
         }
     }
+    return Status::ok();
 }
 
 namespace {

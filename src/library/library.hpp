@@ -101,10 +101,13 @@ public:
                                       std::vector<PinTiming> pin_specs,
                                       std::size_t max_patterns = 64);
 
-    /// Check library invariants: base gates exist, every pattern's truth
-    /// table equals its gate function, pin counts line up. Throws
-    /// std::logic_error on violation.
-    void validate() const;
+    /// Check library invariants: base gates exist (an inverter and a
+    /// 2-input NAND, without which some subject graphs have no cover),
+    /// every pattern's truth table equals its gate function, pin counts
+    /// line up. The first violation comes back as an InvariantViolation
+    /// ("library: no inverter gate"); every library loader runs it once
+    /// per parse.
+    Status validate() const;
 
 private:
     std::string name_;

@@ -102,13 +102,13 @@ std::string_view msu_big_genlib() { return kBigGenlib; }
 
 Library load_msu_tiny() {
     Library lib = read_genlib_checked(msu_tiny_genlib(), "msu_tiny").take_or_raise();
-    lib.validate();
+    if (const Status valid = lib.validate(); !valid.is_ok()) valid.raise();
     return lib;
 }
 
 Library load_msu_big() {
     Library lib = read_genlib_checked(msu_big_genlib(), "msu_big").take_or_raise();
-    lib.validate();
+    if (const Status valid = lib.validate(); !valid.is_ok()) valid.raise();
     return lib;
 }
 

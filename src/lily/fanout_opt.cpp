@@ -184,7 +184,7 @@ FanoutOptResult optimize_fanout(MappedNetlist& m, const Library& lib,
             break;  // sink map is stale; rebuild and continue
         }
     }
-    m.check(lib);
+    m.check(lib).throw_if_errors("optimize_fanout");
     return result;
 }
 

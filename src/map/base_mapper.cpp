@@ -117,7 +117,7 @@ MappedNetlist extract_cover(const SubjectGraph& g, const Library& lib,
         out.gates.push_back(std::move(inst));
     }
     for (const SubjectOutput& po : g.outputs()) out.outputs.push_back({po.name, po.driver});
-    out.check(lib);
+    out.check(lib).throw_if_errors("extract_cover");
     return out;
 }
 

@@ -72,28 +72,78 @@ Network MappedNetlist::to_network(const Library& lib, const std::string& name) c
     return net;
 }
 
-void MappedNetlist::check(const Library& lib) const {
-    std::unordered_map<SubjectId, std::size_t> seen;  // driver -> instance position
-    for (SubjectId s : subject_inputs) seen.emplace(s, npos);
+CheckReport MappedNetlist::check(const Library& lib) const {
+    CheckReport rep;
+    constexpr CheckStage kStage = CheckStage::Mapped;
+    if (subject_input_names.size() != subject_inputs.size()) {
+        rep.error(kStage, kNoCheckNode,
+                  "subject input names (" + std::to_string(subject_input_names.size()) +
+                      ") and ids (" + std::to_string(subject_inputs.size()) + ") out of sync");
+    }
+
+    // Signal -> the instance driving it (npos for a subject input), filled
+    // in instance order so a pin may only read what is already driven.
+    std::unordered_map<SubjectId, std::size_t> driver_of;
+    driver_of.reserve(subject_inputs.size() + gates.size());
+    for (const SubjectId s : subject_inputs) driver_of.emplace(s, npos);
+    // Per instance: 0 drives nothing of its own, 1 drives a signal nothing
+    // reads yet, 2 drives a signal some pin or output reads.
+    std::vector<unsigned char> fate(gates.size(), 0);
     for (std::size_t i = 0; i < gates.size(); ++i) {
         const GateInstance& inst = gates[i];
-        if (inst.gate >= lib.size()) throw std::logic_error("MappedNetlist: bad gate id");
-        if (inst.inputs.size() != lib.gate(inst.gate).n_inputs()) {
-            throw std::logic_error("MappedNetlist: pin count mismatch");
+        if (inst.gate >= lib.size()) {
+            rep.error(kStage, i,
+                      "instance gate id " + std::to_string(inst.gate) + " out of library range");
+            continue;
         }
-        for (SubjectId in : inst.inputs) {
-            if (!seen.contains(in)) {
-                throw std::logic_error("MappedNetlist: input not yet driven (topology violated)");
+        const Gate& gate = lib.gate(inst.gate);
+        if (inst.inputs.size() != gate.n_inputs()) {
+            rep.error(kStage, i,
+                      "instance of '" + gate.name + "' binds " +
+                          std::to_string(inst.inputs.size()) + " pins, gate has " +
+                          std::to_string(gate.n_inputs()));
+        }
+        for (const SubjectId in : inst.inputs) {
+            const auto it = driver_of.find(in);
+            if (it == driver_of.end()) {
+                rep.error(kStage, i,
+                          "pin signal " + std::to_string(in) +
+                              " is neither a subject input nor driven by an earlier "
+                              "instance (topological order violated or undriven)");
+            } else if (it->second != npos) {
+                fate[it->second] = 2;
             }
         }
-        if (seen.contains(inst.driver)) {
-            throw std::logic_error("MappedNetlist: signal driven twice");
+        const auto [it, inserted] = driver_of.emplace(inst.driver, i);
+        if (inserted) {
+            fate[i] = 1;
+            continue;
         }
-        seen.emplace(inst.driver, i);
+        if (it->second == npos) {
+            rep.error(kStage, i,
+                      "instance drives subject input signal " + std::to_string(inst.driver));
+        } else {
+            rep.error(kStage, i,
+                      "signal " + std::to_string(inst.driver) + " driven twice (also by instance " +
+                          std::to_string(it->second) + ")");
+        }
     }
     for (const MappedOutput& po : outputs) {
-        if (!seen.contains(po.driver)) throw std::logic_error("MappedNetlist: dangling output");
+        const auto it = driver_of.find(po.driver);
+        if (it == driver_of.end()) {
+            rep.error(kStage, kNoCheckNode,
+                      "output '" + po.name + "' driven by unresolvable signal " +
+                          std::to_string(po.driver));
+        } else if (it->second != npos) {
+            fate[it->second] = 2;
+        }
     }
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        if (fate[i] == 1) {
+            rep.warning(kStage, i, "instance output feeds no pin and no primary output");
+        }
+    }
+    return rep;
 }
 
 }  // namespace lily

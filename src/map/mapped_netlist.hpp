@@ -61,10 +61,13 @@ public:
     /// written to BLIF.
     Network to_network(const Library& lib, const std::string& name = "mapped") const;
 
-    /// Structural sanity: inputs of every instance are subject inputs or
-    /// driven by another instance; every output driver resolvable; gates in
-    /// topological order. Throws std::logic_error on violation.
-    void check(const Library& lib) const;
+    /// Structural invariants, reported under CheckStage::Mapped and never
+    /// thrown: gate ids in range and pin counts matching the gate, every
+    /// pin a subject input or driven by an earlier instance (topological
+    /// order), no signal driven twice or driving a subject input, every
+    /// output resolvable, input names in sync; warns on an instance whose
+    /// output nothing reads.
+    CheckReport check(const Library& lib) const;
 
 private:
     Version version_ = 1;

@@ -224,11 +224,7 @@ StatusOr<Network> read_blif_checked(std::string_view text) {
     // check() enforces structural invariants that should hold for anything
     // the parser accepted; a failure here is an internal inconsistency, not
     // a syntax error.
-    try {
-        net.check();
-    } catch (const std::exception& e) {
-        return Status(StatusCode::InvariantViolation, std::string("blif: ") + e.what());
-    }
+    LILY_RETURN_IF_ERROR(net.check().to_status("blif"));
     return net;
 }
 

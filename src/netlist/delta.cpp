@@ -117,11 +117,7 @@ StatusOr<AppliedDelta> Network::apply_delta(const NetDelta& delta) {
         }
     }
 
-    try {
-        tmp.check();
-    } catch (const std::exception& e) {
-        return delta_error(std::string("post-check failed: ") + e.what());
-    }
+    LILY_RETURN_IF_ERROR(tmp.check().to_status("apply_delta: post-check"));
 
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());

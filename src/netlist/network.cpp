@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 namespace lily {
 
@@ -260,39 +262,130 @@ std::size_t Network::sweep() {
     return removed;
 }
 
-void Network::check() const {
-    for (NodeId i = 0; i < nodes_.size(); ++i) {
-        const Node& n = nodes_[i];
-        if (n.dead) {
-            if (!n.fanins.empty() || !n.fanouts.empty() || n.is_po_driver) {
-                throw std::logic_error("Network::check: dead node still connected: " + n.name);
+namespace {
+
+std::size_t count_of(const std::vector<NodeId>& ids, NodeId id) {
+    return static_cast<std::size_t>(std::count(ids.begin(), ids.end(), id));
+}
+
+}  // namespace
+
+CheckReport Network::check() const {
+    CheckReport report;
+    constexpr CheckStage kStage = CheckStage::Network;
+    const std::size_t n = nodes_.size();
+
+    // Drivers must exist, be alive and carry the is_po_driver flag; output
+    // names must be unique.
+    std::unordered_set<std::string_view> po_names;
+    po_names.reserve(outputs_.size());
+    for (const PrimaryOutput& po : outputs_) {
+        if (!po_names.insert(po.name).second) {
+            report.error(kStage, kNoCheckNode,
+                         "output name '" + po.name + "' is declared more than once");
+        }
+        if (po.driver >= n) {
+            report.error(kStage, kNoCheckNode, "output '" + po.name + "' has no driver node");
+        } else if (nodes_[po.driver].dead) {
+            report.error(kStage, po.driver,
+                         "output '" + po.name + "' is driven by dead node '" +
+                             nodes_[po.driver].name + "'");
+        } else if (!nodes_[po.driver].is_po_driver) {
+            report.error(kStage, po.driver,
+                         "drives output '" + po.name + "' but its is_po_driver flag is unset");
+        }
+    }
+
+    // Node records and fanin edges. Ids are a topological order by
+    // construction (add_node and apply_delta both enforce it), so every
+    // cycle has an edge from a node to a fanin at or after it.
+    std::size_t fanin_edges = 0;
+    std::size_t fanout_edges = 0;
+    for (NodeId id = 0; id < n; ++id) {
+        const Node& node = nodes_[id];
+        fanout_edges += node.fanouts.size();
+        if (node.dead) {
+            if (!node.fanins.empty() || !node.fanouts.empty() || node.is_po_driver) {
+                report.error(kStage, id, "dead node '" + node.name + "' is still connected");
             }
             continue;
         }
-        for (NodeId f : n.fanins) {
+        fanin_edges += node.fanins.size();
+        // A name the index resolves to another node is a multi-driver net.
+        if (node.name.empty()) {
+            report.error(kStage, id, "node has an empty name");
+        } else if (const auto it = by_name_.find(node.name);
+                   it != by_name_.end() && it->second != id) {
+            report.error(kStage, id,
+                         "net '" + node.name + "' is driven by nodes " +
+                             std::to_string(it->second) + " and " + std::to_string(id));
+        }
+        if (node.kind == NodeKind::PrimaryInput && !node.fanins.empty()) {
+            report.error(kStage, id, "primary input '" + node.name + "' has fanins");
+        }
+        if (node.function.max_fanin_index() > node.fanins.size()) {
+            report.error(kStage, id,
+                         "node '" + node.name + "': SOP references fanin slot " +
+                             std::to_string(node.function.max_fanin_index() - 1) +
+                             " but the node has " + std::to_string(node.fanins.size()) +
+                             " fanins");
+        }
+        for (std::size_t k = 0; k < node.fanins.size(); ++k) {
+            const NodeId f = node.fanins[k];
+            if (std::find(node.fanins.begin(), node.fanins.begin() + k, f) !=
+                node.fanins.begin() + k) {
+                continue;  // a repeated fanin was checked at its first slot
+            }
+            if (f >= n) {
+                report.error(kStage, id,
+                             "node '" + node.name + "' reads out-of-range fanin " +
+                                 std::to_string(f));
+                continue;
+            }
             if (nodes_[f].dead) {
-                throw std::logic_error("Network::check: fanin of " + n.name + " is dead");
+                report.error(kStage, id,
+                             "node '" + node.name + "' reads dead node '" + nodes_[f].name +
+                                 "'");
             }
-            if (f >= i) throw std::logic_error("Network::check: fanin not earlier in order");
-            const auto& fo = nodes_[f].fanouts;
-            if (std::count(fo.begin(), fo.end(), i) !=
-                std::count(n.fanins.begin(), n.fanins.end(), f)) {
-                throw std::logic_error("Network::check: fanin/fanout asymmetry at " + n.name);
+            if (f == id) {
+                report.error(kStage, id, "combinational self-loop on node '" + node.name + "'");
+            } else if (f > id) {
+                report.error(kStage, id,
+                             "combinational cycle: node '" + node.name +
+                                 "' reads later node '" + nodes_[f].name + "'");
             }
-        }
-        if (n.kind == NodeKind::PrimaryInput && !n.fanins.empty()) {
-            throw std::logic_error("Network::check: primary input with fanins");
-        }
-        if (n.kind == NodeKind::Logic && n.function.max_fanin_index() > n.fanins.size()) {
-            throw std::logic_error("Network::check: SOP references missing fanin at " + n.name);
+            const std::size_t forward = count_of(node.fanins, f);
+            const std::size_t backward = count_of(nodes_[f].fanouts, id);
+            if (forward != backward) {
+                report.error(kStage, id,
+                             "fanin/fanout asymmetry between '" + node.name + "' and '" +
+                                 nodes_[f].name + "': " + std::to_string(forward) +
+                                 " fanin edge(s) vs " + std::to_string(backward) +
+                                 " fanout edge(s)");
+            }
         }
     }
-    for (const PrimaryOutput& po : outputs_) {
-        if (po.driver >= nodes_.size()) throw std::logic_error("Network::check: dangling PO");
-        if (nodes_[po.driver].dead) {
-            throw std::logic_error("Network::check: PO " + po.name + " driven by dead node");
+
+    // Every fanin edge matched its fanout edges one for one above, so when
+    // the totals agree no fanout edge is left unmatched and the per-edge
+    // pass below (the diagnostic one) can be skipped.
+    if (fanin_edges == fanout_edges && !report.has_errors()) return report;
+    for (NodeId id = 0; id < n; ++id) {
+        const Node& node = nodes_[id];
+        if (node.dead) continue;
+        for (const NodeId fo : node.fanouts) {
+            if (fo >= n) {
+                report.error(kStage, id,
+                             "node '" + node.name + "' has out-of-range fanout " +
+                                 std::to_string(fo));
+            } else if (count_of(nodes_[fo].fanins, id) == 0) {
+                report.error(kStage, id,
+                             "fanout edge from '" + node.name + "' to '" + nodes_[fo].name +
+                                 "' has no matching fanin edge");
+            }
         }
     }
+    return report;
 }
 
 std::vector<NodeId> Network::touched_since(Version since) const {

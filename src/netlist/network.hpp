@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "netlist/sop.hpp"
+#include "util/check.hpp"
 #include "util/csr.hpp"
 #include "util/status.hpp"
 #include "util/version.hpp"
@@ -131,10 +132,14 @@ public:
     /// of nodes removed. Ids are invalidated; names are stable.
     std::size_t sweep();
 
-    /// Validate structural invariants (fanin/fanout symmetry, acyclicity by
-    /// construction order, PO drivers present). Throws std::logic_error on
-    /// violation; cheap enough to call in tests after every transformation.
-    void check() const;
+    /// Structural invariants, reported under CheckStage::Network and never
+    /// thrown: id order (a fanin at or after its reader is a cycle),
+    /// fanin/fanout edge symmetry, out-of-range ids, dead nodes still
+    /// connected or read, SOP fanin slots, PI fanins, PO drivers and the
+    /// is_po_driver flag, empty and duplicate node names, duplicate output
+    /// names. On a clean network it builds no strings and allocates only a
+    /// set of the output names; cheap enough after every transformation.
+    CheckReport check() const;
 
     // ---- change journal (ECO pipeline) ---------------------------------
     /// One journal record: the nodes directly edited under one version bump.

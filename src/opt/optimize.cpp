@@ -165,7 +165,7 @@ Network to_network(const DefNetwork& dn) {
     }
     for (const auto& [po_name, driver] : dn.outputs) net.add_output(po_name, node_of[driver]);
     net.sweep();
-    net.check();
+    net.check().throw_if_errors("optimize");
     return net;
 }
 

@@ -50,7 +50,6 @@ SubjectPlacementView make_placement_view(const SubjectGraph& g) {
         }
         if (net.pin_count() >= 2) view.netlist.nets.push_back(std::move(net));
     }
-    view.netlist.check();
     return view;
 }
 
@@ -102,7 +101,6 @@ MappedPlacementView make_placement_view(const MappedNetlist& m, const Library& l
 
     for (const GateInstance& inst : m.gates) emit_net(inst.driver);
     for (std::size_t i = 0; i < m.subject_inputs.size(); ++i) emit_net(m.subject_inputs[i]);
-    view.netlist.check();
     return view;
 }
 

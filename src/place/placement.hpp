@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/budget.hpp"
+#include "util/check.hpp"
 #include "util/geometry.hpp"
 
 namespace lily {
@@ -30,7 +31,11 @@ struct PlacementNetlist {
     std::vector<Net> nets;
 
     double total_cell_area() const;
-    void check() const;  // throws std::logic_error on bad indices
+    /// Structural invariants, reported under CheckStage::Placement and
+    /// never thrown: cell_area sized n_cells with finite non-negative
+    /// entries, every net pin a valid cell or pad index; warns on nets
+    /// with fewer than 2 pins.
+    CheckReport check() const;
 };
 
 struct GlobalPlacementOptions {

@@ -13,16 +13,41 @@ double PlacementNetlist::total_cell_area() const {
     return a;
 }
 
-void PlacementNetlist::check() const {
-    if (cell_area.size() != n_cells) throw std::logic_error("PlacementNetlist: area size");
-    for (const Net& net : nets) {
-        for (const std::size_t c : net.cells) {
-            if (c >= n_cells) throw std::logic_error("PlacementNetlist: bad cell index");
-        }
-        for (const std::size_t p : net.pads) {
-            if (p >= pad_positions.size()) throw std::logic_error("PlacementNetlist: bad pad");
+CheckReport PlacementNetlist::check() const {
+    CheckReport rep;
+    constexpr CheckStage kStage = CheckStage::Placement;
+    if (cell_area.size() != n_cells) {
+        rep.error(kStage, kNoCheckNode,
+                  "cell_area has " + std::to_string(cell_area.size()) + " entries for " +
+                      std::to_string(n_cells) + " cells");
+    }
+    for (std::size_t c = 0; c < cell_area.size(); ++c) {
+        if (!(cell_area[c] >= 0.0) || !std::isfinite(cell_area[c])) {
+            rep.error(kStage, c,
+                      "cell area " + std::to_string(cell_area[c]) + " is negative or non-finite");
         }
     }
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+        const Net& net = nets[i];
+        for (const std::size_t c : net.cells) {
+            if (c >= n_cells) {
+                rep.error(kStage, i,
+                          "net " + std::to_string(i) + " references cell " + std::to_string(c) +
+                              " (only " + std::to_string(n_cells) + " cells)");
+            }
+        }
+        for (const std::size_t p : net.pads) {
+            if (p >= pad_positions.size()) {
+                rep.error(kStage, i,
+                          "net " + std::to_string(i) + " references pad " + std::to_string(p) +
+                              " (only " + std::to_string(pad_positions.size()) + " pads)");
+            }
+        }
+        if (net.pin_count() < 2) {
+            rep.warning(kStage, i, "net " + std::to_string(i) + " has fewer than 2 pins");
+        }
+    }
+    return rep;
 }
 
 namespace {
@@ -131,14 +156,14 @@ GlobalPlacement solve_level0(QpSystem& sys, const PlacementNetlist& nl, const Re
 
 GlobalPlacement place_quadratic(const PlacementNetlist& nl, const Rect& region,
                                 const GlobalPlacementOptions& opts) {
-    nl.check();
+    nl.check().throw_if_errors("place_quadratic");
     QpSystem sys = build_qp_system(nl);
     return solve_level0(sys, nl, region, opts);
 }
 
 GlobalPlacement place_global(const PlacementNetlist& nl, const Rect& region,
                              const GlobalPlacementOptions& opts) {
-    nl.check();
+    nl.check().throw_if_errors("place_global");
     // One system serves every level, level 0 included: solve_qp refolds
     // every anchor slot and rewrites the whole rhs on each call.
     QpSystem sys = build_qp_system(nl);
@@ -240,7 +265,7 @@ IncrementalPlacement place_incremental(const PlacementNetlist& nl, const Rect& r
                                        std::vector<Point>& positions,
                                        std::span<const std::size_t> dirty,
                                        const GlobalPlacementOptions& opts) {
-    nl.check();
+    nl.check().throw_if_errors("place_incremental");
     if (positions.size() != nl.n_cells) {
         throw std::invalid_argument("place_incremental: positions/cells size mismatch");
     }

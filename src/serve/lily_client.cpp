@@ -44,8 +44,8 @@
 #include <string>
 #include <vector>
 
-#include "check/check.hpp"
 #include "serve/client.hpp"
+#include "util/check.hpp"
 #include "util/io.hpp"
 #include "util/json.hpp"
 

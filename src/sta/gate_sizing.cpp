@@ -78,7 +78,7 @@ SizingResult size_gates(MappedNetlist& m, const Library& lib, const MappedPlacem
         result.delay_after = after.critical_delay;
         result.swaps += pass_swaps;
     }
-    m.check(lib);
+    m.check(lib).throw_if_errors("size_gates");
     return result;
 }
 

@@ -158,7 +158,7 @@ DecomposeResult decompose(const Network& net, const DecomposeOptions& opts) {
     for (const PrimaryOutput& po : net.outputs()) {
         g.add_output(po.name, out.signal_of[po.driver]);
     }
-    g.check();
+    g.check().throw_if_errors("decompose");
     return out;
 }
 
@@ -216,7 +216,7 @@ IncrementalDecomposeStats decompose_incremental(const Network& net,
         const SubjectId want = inout.signal_of[net.outputs()[k].driver];
         if (g.outputs()[k].driver != want) g.retarget_output(k, want);
     }
-    g.check();
+    g.check().throw_if_errors("decompose_incremental");
     stats.nodes_after = g.size();
     return stats;
 }

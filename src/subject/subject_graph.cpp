@@ -1,7 +1,10 @@
 #include "subject/subject_graph.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 namespace lily {
 
@@ -155,24 +158,154 @@ Network SubjectGraph::to_network() const {
     return net;
 }
 
-void SubjectGraph::check() const {
-    for (SubjectId i = 0; i < nodes_.size(); ++i) {
-        const SubjectNode& n = nodes_[i];
-        for (unsigned k = 0; k < n.fanin_count(); ++k) {
-            const SubjectId f = n.fanin(k);
-            if (f >= i) throw std::logic_error("SubjectGraph::check: fanin order violated");
+namespace {
+
+/// True when `name` has the form of an anonymous name ("s<digits>") other
+/// than `id`'s own, so name_of() of two nodes could print alike.
+bool aliases_anonymous_name(std::string_view name, SubjectId id) {
+    if (name.size() < 2 || name[0] != 's' ||
+        name.find_first_not_of("0123456789", 1) != std::string_view::npos) {
+        return false;
+    }
+    SubjectId value = 0;
+    const auto [end, ec] = std::from_chars(name.data() + 1, name.data() + name.size(), value);
+    return ec != std::errc() || value != id || (name[1] == '0' && name.size() > 2);
+}
+
+}  // namespace
+
+CheckReport SubjectGraph::check() const {
+    CheckReport rep;
+    constexpr CheckStage kStage = CheckStage::Subject;
+    const std::size_t n = nodes_.size();
+
+    // Names live in a side-table keyed by id (anonymous nodes print as
+    // "s<id>"). Check the interned entries: no empty names, no duplicates,
+    // no aliasing of a canonical anonymous name.
+    std::unordered_map<std::string_view, SubjectId> owner;
+    owner.reserve(names_.size());
+    for (const auto& [id, nm] : names_) {
+        if (id >= n) {
+            rep.error(kStage, kNoCheckNode,
+                      "interned name '" + nm + "' for out-of-range node " + std::to_string(id));
+            continue;
+        }
+        if (nm.empty()) {
+            rep.error(kStage, id, "subject node has an empty interned name");
+            continue;
+        }
+        if (const auto [it, inserted] = owner.emplace(nm, id); !inserted) {
+            rep.error(kStage, id,
+                      "name '" + nm + "' already used by subject node " +
+                          std::to_string(it->second));
+        }
+        if (aliases_anonymous_name(nm, id)) {
+            rep.warning(kStage, id,
+                        "interned name '" + nm + "' shadows another node's anonymous name");
+        }
+    }
+
+    // Base functions only, topological fanin order, and each fanin edge
+    // matched by as many fanout edges as the node reads the fanin
+    // (NAND(a,a) records two parallel edges).
+    std::size_t fanin_edges = 0;
+    std::size_t fanout_edges = 0;
+    std::size_t dangling = 0;
+    SubjectId first_dangling = kNullSubject;
+    for (SubjectId i = 0; i < n; ++i) {
+        const SubjectNode& node = nodes_[i];
+        fanout_edges += node.fanouts.size();
+        // The kind enum makes other ops unrepresentable, but a corrupted
+        // byte (or a future extension that forgets this invariant) must be
+        // caught.
+        switch (node.kind) {
+            case SubjectKind::Input:
+                if (node.fanin0 != kNullSubject || node.fanin1 != kNullSubject) {
+                    rep.error(kStage, i, "input node has fanins");
+                }
+                break;
+            case SubjectKind::Inv:
+            case SubjectKind::Nand2:
+                break;
+            default:
+                rep.error(kStage, i,
+                          "node kind " + std::to_string(static_cast<unsigned>(node.kind)) +
+                              " is not a base function (NAND2/INV/Input only)");
+                continue;
+        }
+        for (unsigned k = 0; k < node.fanin_count(); ++k) {
+            const SubjectId f = node.fanin(k);
+            if (k == 1 && f == node.fanin0) continue;  // NAND(a,a): checked at slot 0
+            if (f >= n) {
+                rep.error(kStage, i, "fanin id " + std::to_string(f) + " out of range");
+                continue;
+            }
+            if (f >= i) {
+                rep.error(kStage, i,
+                          "fanin " + std::to_string(f) +
+                              " not earlier in topological order (cycle)");
+                continue;
+            }
+            const std::size_t uses =
+                node.kind == SubjectKind::Nand2 && node.fanin1 == node.fanin0 ? 2 : 1;
             const auto& fo = nodes_[f].fanouts;
-            if (std::find(fo.begin(), fo.end(), i) == fo.end()) {
-                throw std::logic_error("SubjectGraph::check: missing fanout edge");
+            const auto edges = static_cast<std::size_t>(std::count(fo.begin(), fo.end(), i));
+            fanin_edges += uses;
+            if (edges == 0) {
+                rep.error(kStage, i, "missing fanout edge from fanin " + std::to_string(f));
+            } else if (edges != uses) {
+                rep.error(kStage, i,
+                          "fanin/fanout multiplicity mismatch with fanin " + std::to_string(f) +
+                              ": read " + std::to_string(uses) + " time(s), " +
+                              std::to_string(edges) + " fanout edge(s)");
             }
         }
-        if (n.kind == SubjectKind::Input && n.fanin0 != kNullSubject) {
-            throw std::logic_error("SubjectGraph::check: input with fanin");
+        if (node.kind != SubjectKind::Input && node.fanouts.empty() && !po_driver_[i]) {
+            if (dangling++ == 0) first_dangling = i;
         }
     }
-    for (const SubjectOutput& po : outputs_) {
-        if (po.driver >= nodes_.size()) throw std::logic_error("SubjectGraph::check: bad PO");
+    // One warning however many: the ECO path appends and never deletes, so
+    // a maintained graph collects orphaned gates on every edit.
+    if (dangling > 0) {
+        rep.warning(kStage, first_dangling,
+                    "dangling gate node: no fanouts and drives no output" +
+                        (dangling > 1 ? " (" + std::to_string(dangling - 1) + " more like it)"
+                                      : std::string()));
     }
+
+    // Every fanin edge matched its fanout edges above, so equal totals
+    // leave no unmatched fanout edge; otherwise find the strays.
+    if (fanin_edges != fanout_edges || rep.has_errors()) {
+        for (SubjectId i = 0; i < n; ++i) {
+            for (const SubjectId fo : nodes_[i].fanouts) {
+                if (fo >= n) {
+                    rep.error(kStage, i, "fanout id " + std::to_string(fo) + " out of range");
+                } else if (nodes_[fo].fanin0 != i &&
+                           (nodes_[fo].kind != SubjectKind::Nand2 || nodes_[fo].fanin1 != i)) {
+                    rep.error(kStage, i,
+                              "fanout edge to node " + std::to_string(fo) +
+                                  " which does not list the node as a fanin");
+                }
+            }
+        }
+    }
+
+    std::unordered_set<std::string_view> po_names;
+    po_names.reserve(outputs_.size());
+    for (const SubjectOutput& po : outputs_) {
+        if (!po_names.insert(po.name).second) {
+            rep.warning(kStage, kNoCheckNode, "duplicate output name '" + po.name + "'");
+        }
+        if (po.driver >= n) {
+            rep.error(kStage, kNoCheckNode,
+                      "output '" + po.name + "' has dangling driver id " +
+                          std::to_string(po.driver));
+        } else if (!po_driver_[po.driver]) {
+            rep.error(kStage, po.driver,
+                      "drives output '" + po.name + "' but po_driver flag unset");
+        }
+    }
+    return rep;
 }
 
 }  // namespace lily

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "netlist/network.hpp"
+#include "util/check.hpp"
 #include "util/csr.hpp"
 #include "util/version.hpp"
 
@@ -126,8 +127,12 @@ public:
     /// checking against the source network).
     Network to_network() const;
 
-    /// Structural invariants; throws std::logic_error on violation.
-    void check() const;
+    /// Structural invariants, reported under CheckStage::Subject and never
+    /// thrown: base functions only, topological fanin order, fanin/fanout
+    /// edge symmetry with multiplicity, interned names, PO drivers and
+    /// their flags; warns on dangling gates (one warning for all of them),
+    /// duplicate output names and names that alias an anonymous "s<id>".
+    CheckReport check() const;
 
 private:
     SubjectId allocate(SubjectNode n);

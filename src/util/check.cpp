@@ -1,9 +1,8 @@
-#include "check/check.hpp"
+#include "util/check.hpp"
 
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace lily {
 
@@ -84,9 +83,16 @@ std::string CheckReport::to_string() const {
     return s;
 }
 
-void CheckReport::throw_if_errors(const std::string& context) const {
-    if (!has_errors()) return;
-    throw std::logic_error(context + ": invariant check failed\n" + to_string());
+Status CheckReport::to_status(std::string_view context) const {
+    if (!has_errors()) return Status::ok();
+    std::string message(context);
+    message += ": invariant check failed\n";
+    message += to_string();
+    return Status(StatusCode::InvariantViolation, std::move(message));
+}
+
+void CheckReport::throw_if_errors(std::string_view context) const {
+    if (has_errors()) to_status(context).raise();
 }
 
 }  // namespace lily

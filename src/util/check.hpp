@@ -1,19 +1,23 @@
-// Pipeline invariant checking: structured diagnostics instead of asserts.
+// Invariant-check diagnostics: structured reports instead of asserts.
 //
-// Every stage of the mapping pipeline rests on invariants the paper states
-// but a transformation bug can silently break: the subject graph must stay
-// a NAND2/INV DAG equivalent to the source network, every chosen match must
-// compute the function of the cone it replaces, placements must keep every
-// position finite and inside the chip region, and the mapped netlist must
-// simulate identically to the inchoate network. The checkers in this
-// directory verify those invariants and report violations as CheckIssue
-// records, so callers (tests, the flow's CheckLevel knob, the lily_lint
-// CLI) decide whether to warn, throw, or exit non-zero.
+// Every artifact of the mapping pipeline (the Boolean network, the
+// NAND2/INV subject graph, the placement view, the mapped gate netlist)
+// has one structural checker, its own `check()` member, and it returns a
+// CheckReport rather than throwing. The cross-stage checkers in src/check/
+// (equivalence against the source, match covers, placement geometry,
+// timing, pipeline stamps, the spool) report the same way. Callers decide
+// what a finding means: tests assert on it, a Status-returning entry point
+// turns it into an InvariantViolation with to_status(), an always-on
+// postcondition raises it with throw_if_errors(), and lily_lint prints it.
+// The types live in lily_util because the data layers sit below lily_check.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/status.hpp"
 
 namespace lily {
 
@@ -89,9 +93,14 @@ public:
     /// One line per issue: "error [subject] node 12: ...".
     std::string to_string() const;
 
-    /// Throw std::logic_error with to_string() when the report has errors;
-    /// `context` prefixes the message. No-op otherwise.
-    void throw_if_errors(const std::string& context) const;
+    /// The errors as one InvariantViolation Status ("context: invariant
+    /// check failed" followed by to_string()); OK when there are none.
+    Status to_status(std::string_view context) const;
+
+    /// Raise to_status(context) as std::logic_error when the report has
+    /// errors; no-op otherwise. For always-on postconditions in code that
+    /// has no Status channel.
+    void throw_if_errors(std::string_view context) const;
 
 private:
     std::vector<CheckIssue> issues_;

@@ -89,7 +89,7 @@ TEST(Blif, ForwardReferencesResolved) {
 0 1
 .end
 )").take_or_raise();
-    n.check();
+    EXPECT_FALSE(n.check().has_errors()) << n.check().to_string();
     const auto v = simulate_block(n, std::array<std::uint64_t, 2>{0b1100, 0b1010});
     // f = !a & b. Per pattern p: a = bit p of 0b1100, b = bit p of 0b1010,
     // so only p = 1 (a=0, b=1) sets f -> word 0b0010.

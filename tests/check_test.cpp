@@ -1,9 +1,10 @@
 // The checkers must stay quiet on healthy pipelines and loud on corrupted
 // ones: each test deliberately breaks one invariant (a broken fanout edge,
 // an off-chip cell, a functionally wrong cover...) and asserts the
-// matching checker reports the right CheckIssue. Network-level corruption
-// (cycles, edge asymmetry) is lint_network's, in the NetworkChecker and
-// Lint suites of verify_test.cpp.
+// artifact's own check() or the matching cross-stage checker reports the
+// right CheckIssue. Network-level corruption (cycles, edge asymmetry) is
+// Network::check()'s, in the NetworkChecker and Lint suites of
+// verify_test.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -89,7 +90,7 @@ TEST(SubjectChecker, DetectsWrongDecomposition) {
     const SubjectId sa = g.add_input("a", a);
     const SubjectId sb = g.add_input("b", b);
     g.add_output("y", g.add_nand(sa, sb));
-    EXPECT_FALSE(SubjectChecker{}.check(g).has_errors());
+    EXPECT_FALSE(g.check().has_errors());
     EXPECT_TRUE(has_error(SubjectChecker{}.check_against_source(g, net), CheckStage::Subject,
                           "not equivalent"));
 }
@@ -103,8 +104,8 @@ TEST(SubjectChecker, DetectsBrokenFanoutEdge) {
     // Corrupt: drop a's record of feeding n (tests need mutable access the
     // API deliberately withholds).
     const_cast<SubjectNode&>(g.node(a)).fanouts.clear();
-    const CheckReport rep = SubjectChecker{}.check(g);
-    EXPECT_TRUE(has_error(rep, CheckStage::Subject, "missing fanout edge"));
+    const CheckReport rep = g.check();
+    EXPECT_TRUE(has_error(rep, CheckStage::Subject, "missing fanout edge")) << rep.to_string();
 }
 
 // ---- MatchChecker -----------------------------------------------------
@@ -246,8 +247,7 @@ TEST(PlacementChecker, DetectsPadOffBoundary) {
 TEST(PlacementChecker, DetectsBadNetIndices) {
     PlacementFixture f;
     f.nl.nets[0].cells.push_back(17);
-    EXPECT_TRUE(has_error(PlacementChecker{}.check_netlist(f.nl), CheckStage::Placement,
-                          "references cell"));
+    EXPECT_TRUE(has_error(f.nl.check(), CheckStage::Placement, "references cell"));
 }
 
 // ---- MappedChecker ----------------------------------------------------
@@ -283,7 +283,7 @@ TEST(MappedChecker, DetectsWrongFunctionCover) {
     }
     ASSERT_TRUE(swapped);
     const MappedChecker checker(f.lib);
-    EXPECT_FALSE(checker.check(f.mapped.netlist).has_errors());  // structure still fine
+    EXPECT_FALSE(f.mapped.netlist.check(f.lib).has_errors());  // structure still fine
     EXPECT_TRUE(has_error(checker.check_against(f.mapped.netlist, f.net), CheckStage::Mapped,
                           "not equivalent"));
 }
@@ -292,13 +292,12 @@ TEST(MappedChecker, DetectsDoubleDriverAndUndrivenPin) {
     MappedFixture f;
     MappedNetlist broken = f.mapped.netlist;
     broken.gates.push_back(broken.gates.back());
-    EXPECT_TRUE(
-        has_error(MappedChecker(f.lib).check(broken), CheckStage::Mapped, "driven twice"));
+    EXPECT_TRUE(has_error(broken.check(f.lib), CheckStage::Mapped, "driven twice"));
 
     broken = f.mapped.netlist;
     broken.gates.back().inputs[0] = 4095;  // no such signal
-    EXPECT_TRUE(has_error(MappedChecker(f.lib).check(broken), CheckStage::Mapped,
-                          "neither a subject input nor driven"));
+    EXPECT_TRUE(
+        has_error(broken.check(f.lib), CheckStage::Mapped, "neither a subject input nor driven"));
 }
 
 TEST(MappedChecker, TimingMonotonicityAndLoads) {

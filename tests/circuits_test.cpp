@@ -214,7 +214,7 @@ TEST(Circuits, MultiplierScalesDeep) {
     const Network net = make_multiplier(8);
     EXPECT_GT(net.logic_node_count(), 300u);
     EXPECT_GT(net.depth(), 15u);  // the C6288-like long carry chains
-    net.check();
+    EXPECT_FALSE(net.check().has_errors()) << net.check().to_string();
 }
 
 // ------------------------------------------------------------- generators
@@ -234,7 +234,7 @@ TEST(Circuits, PlaShape) {
     const Network pla = make_pla(16, 8, 40, 7, "p");
     EXPECT_EQ(pla.inputs().size(), 16u);
     EXPECT_EQ(pla.outputs().size(), 8u);
-    pla.check();
+    EXPECT_FALSE(pla.check().has_errors()) << pla.check().to_string();
     EXPECT_GT(pla.depth(), 1u);
     // Two-level-ish: depth stays modest (AND tree + OR tree of log depth).
     EXPECT_LT(pla.depth(), 20u);
@@ -247,7 +247,8 @@ TEST(Circuits, PaperSuiteCompleteAndScaled) {
         EXPECT_FALSE(b.name.empty());
         EXPECT_GT(b.network.logic_node_count(), 0u) << b.name;
         EXPECT_GT(b.network.outputs().size(), 0u) << b.name;
-        b.network.check();
+        EXPECT_FALSE(b.network.check().has_errors()) << b.name << "\n"
+                                                      << b.network.check().to_string();
     }
     // Scale changes sizes.
     const auto big = paper_suite(1.0);

@@ -62,7 +62,7 @@ TEST(FanoutOpt, EnforcesLimitAndPreservesFunction) {
     EXPECT_GT(res.buffers_added, 0u);
     EXPECT_LE(max_sinks(optimized), 4u);
     EXPECT_EQ(pos.size(), optimized.gates.size());
-    optimized.check(m.lib);
+    EXPECT_FALSE(optimized.check(m.lib).has_errors()) << optimized.check(m.lib).to_string();
     EXPECT_TRUE(
         equivalent_random_checked(m.net, optimized.to_network(m.lib), 8, 55).take_or_raise());
 }
@@ -116,7 +116,7 @@ PIN * INV 0.1 1.0 0.4 2.0 0.3 1.6
 GATE nd2 2.0 O=!(a*b);
 PIN * INV 0.1 1.0 0.5 2.6 0.45 2.2
 )").take_or_raise();
-    lib.validate();
+    ASSERT_TRUE(lib.validate().is_ok());
     Network net = hub_circuit(24);
     const DecomposeResult sub = decompose(net);
     const MapResult res = BaseMapper(lib).map(sub.graph);

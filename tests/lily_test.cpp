@@ -32,7 +32,7 @@ TEST_P(LilyParam, MapsBenchmarksEquivalent) {
         const Network& net = it->network;
         const DecomposeResult r = decompose(net);
         const LilyResult res = mapper.map_checked(r.graph, opts).take_or_raise();
-        res.netlist.check(lib);
+        EXPECT_FALSE(res.netlist.check(lib).has_errors()) << res.netlist.check(lib).to_string();
         EXPECT_TRUE(
             equivalent_random_checked(net, res.netlist.to_network(lib), 8, 17).take_or_raise())
             << name;

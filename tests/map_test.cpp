@@ -67,7 +67,7 @@ TEST_P(BaseMapperParam, FullAdderMapsEquivalent) {
     opts.objective = GetParam().objective;
     opts.mode = GetParam().mode;
     const MapResult res = mapper.map(r.graph, opts);
-    res.netlist.check(lib);
+    EXPECT_FALSE(res.netlist.check(lib).has_errors()) << res.netlist.check(lib).to_string();
     EXPECT_GT(res.netlist.gate_count(), 0u);
     EXPECT_TRUE(
         equivalent_random_checked(net, res.netlist.to_network(lib), 16, 99).take_or_raise());
@@ -83,7 +83,7 @@ TEST_P(BaseMapperParam, RandomNetworksMapEquivalent) {
         opts.objective = GetParam().objective;
         opts.mode = GetParam().mode;
         const MapResult res = mapper.map(r.graph, opts);
-        res.netlist.check(lib);
+        EXPECT_FALSE(res.netlist.check(lib).has_errors()) << res.netlist.check(lib).to_string();
         EXPECT_TRUE(
             equivalent_random_checked(net, res.netlist.to_network(lib), 8, seed).take_or_raise())
             << seed;
@@ -216,10 +216,15 @@ TEST(MappedNetlist, ChecksCatchCorruption) {
     MappedNetlist broken = res.netlist;
     ASSERT_FALSE(broken.gates.empty());
     broken.gates[0].inputs.push_back(broken.gates[0].inputs[0]);  // pin mismatch
-    EXPECT_THROW(broken.check(lib), std::logic_error);
+    const CheckReport pins = broken.check(lib);
+    EXPECT_TRUE(pins.has_errors());
+    EXPECT_TRUE(pins.mentions("pins, gate has")) << pins.to_string();
     MappedNetlist dangling = res.netlist;
     dangling.outputs.push_back({"ghost", static_cast<SubjectId>(123456)});
-    EXPECT_THROW(dangling.check(lib), std::logic_error);
+    const CheckReport ghost = dangling.check(lib);
+    EXPECT_TRUE(ghost.has_errors());
+    EXPECT_TRUE(ghost.mentions("output 'ghost' driven by unresolvable signal 123456"))
+        << ghost.to_string();
 }
 
 TEST(MappedNetlist, InstanceDrivingLookup) {
@@ -244,7 +249,7 @@ TEST(MappedNetlist, PoDrivenByInputSurvivesMapping) {
     const DecomposeResult r = decompose(net);
     const Library lib = load_msu_tiny();
     const MapResult res = BaseMapper(lib).map(r.graph);
-    res.netlist.check(lib);
+    EXPECT_FALSE(res.netlist.check(lib).has_errors()) << res.netlist.check(lib).to_string();
     EXPECT_TRUE(equivalent_random_checked(net, res.netlist.to_network(lib), 8, 5).take_or_raise());
 }
 

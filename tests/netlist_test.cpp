@@ -138,7 +138,7 @@ Network full_adder() {
 
 TEST(Network, FullAdderStructure) {
     const Network n = full_adder();
-    n.check();
+    EXPECT_FALSE(n.check().has_errors()) << n.check().to_string();
     EXPECT_EQ(n.inputs().size(), 3u);
     EXPECT_EQ(n.outputs().size(), 2u);
     EXPECT_EQ(n.logic_node_count(), 5u);
@@ -200,7 +200,7 @@ TEST(Network, SweepRemovesDeadLogic) {
     (void)dead2;  // also dead
     n.add_output("f", keep);
     EXPECT_EQ(n.sweep(), 2u);
-    n.check();
+    EXPECT_FALSE(n.check().has_errors()) << n.check().to_string();
     EXPECT_EQ(n.logic_node_count(), 1u);
     EXPECT_EQ(n.inputs().size(), 2u);  // PIs always survive
     EXPECT_EQ(n.outputs()[0].driver, n.find_node("f").value_or(kNullNode));

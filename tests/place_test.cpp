@@ -306,7 +306,7 @@ TEST(Adapters, MappedViewUsesGateAreas) {
     double area = 0.0;
     for (const double a : view.netlist.cell_area) area += a;
     EXPECT_NEAR(area, res.total_area, 1e-9);
-    view.netlist.check();
+    EXPECT_FALSE(view.netlist.check().has_errors()) << view.netlist.check().to_string();
 }
 
 TEST(Adapters, NetCountsReasonable) {

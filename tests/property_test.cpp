@@ -143,7 +143,7 @@ TEST_P(CrossMatrix, MappedEquivalent) {
         } else {
             mapped = BaseMapper(lib).map(sub.graph).netlist;
         }
-        mapped.check(lib);
+        EXPECT_FALSE(mapped.check(lib).has_errors()) << mapped.check(lib).to_string();
         EXPECT_TRUE(
             equivalent_random_checked(net, mapped.to_network(lib), 4, seed).take_or_raise())
             << seed;

@@ -22,6 +22,7 @@
 #include "check/serve_checker.hpp"
 #include "circuits/benchmarks.hpp"
 #include "flow/job.hpp"
+#include "library/library.hpp"
 #include "netlist/blif.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -377,6 +378,38 @@ TEST(FlowJob, ParseErrorIsTerminalError) {
     const JobOutcome outcome = run_flow_job(spec);
     EXPECT_EQ(outcome.state, JobState::Error);
     EXPECT_NE(outcome.status_code, StatusCode::Ok);
+}
+
+TEST(FlowJob, LibraryWithoutBaseGatesIsRejected) {
+    // Library::validate reports a missing base gate as a Status ...
+    const std::string no_inverter =
+        read_file_or_die(std::string(LILY_SOURCE_DIR) + "/tests/data/bad/no_inverter.genlib");
+    const Status inv = read_genlib_checked(no_inverter).take_or_raise().validate();
+    EXPECT_EQ(inv.code(), StatusCode::InvariantViolation);
+    EXPECT_NE(inv.message().find("no inverter gate"), std::string::npos) << inv.to_string();
+    const Status nand = read_genlib_checked("GATE inv 1.0 O=!a;\n"
+                                            "PIN * INV 0.1 1.0 0.4 2.0 0.3 1.6\n"
+                                            "GATE nor2 2.0 O=!(a+b);\n"
+                                            "PIN * INV 0.1 1.0 0.5 2.6 0.45 2.2\n")
+                            .take_or_raise()
+                            .validate();
+    EXPECT_EQ(nand.code(), StatusCode::InvariantViolation);
+    EXPECT_NE(nand.message().find("no 2-input NAND gate"), std::string::npos)
+        << nand.to_string();
+
+    // ... and a served job with such a library ends with that message
+    // instead of failing later in the mapper. The failed parse is never
+    // cached: the second job parses again.
+    JobSpec spec = small_job();
+    spec.genlib = no_inverter;
+    for (int run = 0; run < 2; ++run) {
+        const JobOutcome outcome = run_flow_job(spec);
+        EXPECT_EQ(outcome.state, JobState::Error);
+        EXPECT_EQ(outcome.status_code, StatusCode::InvariantViolation);
+        EXPECT_NE(outcome.status_message.find("library: no inverter gate"), std::string::npos)
+            << outcome.status_message;
+        EXPECT_EQ(outcome.genlib_cache, CacheProbe::Miss);
+    }
 }
 
 TEST(FlowJob, DegradedTierReportsDegraded) {

@@ -88,7 +88,7 @@ TEST(SubjectGraph, FanoutBookkeeping) {
     const SubjectId n1 = g.add_nand(a, b);
     const SubjectId i1 = g.add_inv(n1);
     g.add_output("f", i1);
-    g.check();
+    EXPECT_FALSE(g.check().has_errors()) << g.check().to_string();
     EXPECT_EQ(g.node(a).fanouts.size(), 1u);
     EXPECT_EQ(g.node(n1).fanouts.size(), 1u);
     EXPECT_TRUE(g.drives_output(i1));
@@ -103,7 +103,7 @@ TEST(SubjectGraph, NandOfSameSignal) {
     const SubjectId a = g.add_input("a", 0);
     const SubjectId n = g.add_nand(a, a);  // acts as inverter
     g.add_output("f", n);
-    g.check();
+    EXPECT_FALSE(g.check().has_errors()) << g.check().to_string();
     EXPECT_EQ(g.node(a).fanouts.size(), 2u);  // two parallel lines
     const Network net = g.to_network();
     const auto v = simulate_block(net, std::array<std::uint64_t, 1>{0b10});
@@ -127,7 +127,7 @@ TEST(SubjectGraph, InverterChainsCancel) {
 TEST(Decompose, FullAdderEquivalent) {
     const Network net = full_adder();
     const DecomposeResult r = decompose(net);
-    r.graph.check();
+    EXPECT_FALSE(r.graph.check().has_errors()) << r.graph.check().to_string();
     EXPECT_TRUE(equivalent_random_checked(net, r.graph.to_network(), 8, 11).take_or_raise());
     // All gates are NAND2/INV.
     for (SubjectId v = 0; v < r.graph.size(); ++v) {

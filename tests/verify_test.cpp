@@ -514,10 +514,13 @@ TEST(Lint, FlagsDeadFaninAndDeadPoDriver) {
 
 // ------------------------------------------- structural network checks
 //
-// lint_network's structural pass on one corruption of small_net() each.
+// Network::check() on one corruption of small_net() each; lint_network
+// adds the warning passes on top.
 
 TEST(NetworkChecker, CleanNetworkHasNoIssues) {
-    const CheckReport rep = lint_network(small_net());
+    const Network net = small_net();
+    EXPECT_TRUE(net.check().empty()) << net.check().to_string();
+    const CheckReport rep = lint_network(net);
     EXPECT_TRUE(rep.empty()) << rep.to_string();
 }
 
@@ -527,7 +530,7 @@ TEST(NetworkChecker, DetectsCycle) {
     // match it (what lily_lint --inject=cycle does).
     const NodeId last = static_cast<NodeId>(net.node_count() - 1);
     net.node(net.logic_nodes().front()).fanins.push_back(last);
-    const CheckReport rep = lint_network(net);
+    const CheckReport rep = net.check();
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("cycle")) << rep.to_string();
     EXPECT_TRUE(rep.mentions("asymmetry")) << rep.to_string();
@@ -537,7 +540,7 @@ TEST(NetworkChecker, DetectsSelfLoop) {
     Network net = small_net();
     const NodeId early = net.logic_nodes().front();
     net.node(early).fanins.push_back(early);
-    const CheckReport rep = lint_network(net);
+    const CheckReport rep = net.check();
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("self-loop")) << rep.to_string();
 }
@@ -546,7 +549,7 @@ TEST(NetworkChecker, DetectsFanoutAsymmetry) {
     Network net = small_net();
     const NodeId y = net.logic_nodes().back();
     net.node(net.node(y).fanins.front()).fanouts.clear();  // drop the back edge
-    const CheckReport rep = lint_network(net);
+    const CheckReport rep = net.check();
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("asymmetry")) << rep.to_string();
 }
@@ -562,7 +565,7 @@ TEST(NetworkChecker, WarnsOnDanglingNode) {
 TEST(NetworkChecker, DetectsDuplicateNames) {
     Network net = small_net();
     net.node(net.logic_nodes().front()).name = "a";  // collides with the PI
-    const CheckReport rep = lint_network(net);
+    const CheckReport rep = net.check();
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("net 'a' is driven by nodes")) << rep.to_string();
 }
@@ -571,7 +574,7 @@ TEST(NetworkChecker, DetectsSopOutOfBounds) {
     Network net = small_net();
     Node& y = net.node(net.logic_nodes().back());
     y.function.cubes.push_back(Cube::literal(13, true));  // node has 2 fanins
-    const CheckReport rep = lint_network(net);
+    const CheckReport rep = net.check();
     EXPECT_TRUE(rep.has_errors());
     EXPECT_TRUE(rep.mentions("SOP references fanin slot 13")) << rep.to_string();
 }
