@@ -18,6 +18,17 @@ run cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DLILY_WERROR=ON
 run cmake --build build-ci-release -j "$JOBS"
 run env -C build-ci-release ctest --output-on-failure -j "$JOBS"
 
+# A golden case whose file is missing skips instead of failing (so a fresh
+# checkout without the data builds green); in CI every golden must be
+# compared, so any skipped case fails the run.
+echo "+ build-ci-release/tests/golden_test (expect no skipped case)"
+out="$(build-ci-release/tests/golden_test 2>&1)"
+if grep -q '^\[  SKIPPED \]' <<<"$out"; then
+  echo "FAIL: golden_test skipped a case (golden file missing?):" >&2
+  grep 'golden missing\|^\[  SKIPPED \]' <<<"$out" >&2
+  exit 1
+fi
+
 # ---- Build 2: ASan+UBSan, paranoid pipeline self-checks ----------------
 run cmake -B build-ci-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLILY_WERROR=ON "-DLILY_SANITIZE=address;undefined"

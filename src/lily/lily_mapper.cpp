@@ -32,6 +32,35 @@ struct EvalScratch {
 
 /// Mutable mapping state shared by the per-cone passes.
 struct Ctx {
+    /// Fresh DP state over `graph`: every node an egg without a solution,
+    /// placePositions zeroed, each PO driver mapped to its output pads, and
+    /// every cache stale.
+    Ctx(const SubjectGraph& graph, const Library& library, const LilyOptions& options,
+        const Matcher& match, SubjectPlacementView layout, std::vector<Point> pads)
+        : g(graph),
+          topo(graph.topology()),  // freeze the flat adjacency before the DP starts
+          lib(library),
+          opts(options),
+          matcher(match),
+          view(std::move(layout)),
+          pad_pos(std::move(pads)),
+          place_pos(graph.size()),
+          state(graph.size(), LifeState::Egg),
+          sol(graph.size()),
+          po_pads_of(graph.size()),
+          committed(graph.size(), false),
+          delay_mode(options.objective == MapObjective::Delay),
+          matcher_fault_pending(fault_enabled("matcher", "no-match")),
+          visit_mark(graph.size(), 0),
+          tf_cache(graph.size()),
+          tf_stamp(graph.size(), 0),
+          full_rect(graph.size()),
+          rect_stamp(graph.size(), 0) {
+        for (std::size_t o = 0; o < g.outputs().size(); ++o) {
+            po_pads_of[g.outputs()[o].driver].push_back(view.pad_of_output(o));
+        }
+    }
+
     const SubjectGraph& g;
     const SubjectTopology& topo;  // frozen flat adjacency of g
     const Library& lib;
@@ -45,6 +74,15 @@ struct Ctx {
     std::vector<LilyNodeSolution> sol;
     std::vector<std::vector<std::size_t>> po_pads_of;  // subject id -> pad ids
     std::vector<bool> committed;              // needed-walk bookkeeping
+    std::vector<SubjectId> commit_stack;      // commit_cone's walk, reused per cone
+
+    const bool delay_mode;
+    // Sticky once the stage budget fires: the rest of the nodes take the
+    // cheap path (base gates only, no wire-cost search) so the mapper still
+    // produces a legal cover instead of aborting.
+    bool degraded = false;
+    // Injected matcher failure: the first gate node sees an empty match list.
+    bool matcher_fault_pending;
 
     // Epoch-stamped scratch for the true-fanout walk: avoids an O(n)
     // allocation per query (the walk runs once per match input).
@@ -60,11 +98,11 @@ struct Ctx {
     // fanin rectangles additionally change when hawks adopt mapPositions at
     // commit and when periodic re-placement rewrites placePositions, so the
     // rectangle cache has its own epoch (rect_epoch) bumped at both points.
-    mutable std::vector<std::vector<SubjectId>> tf_cache{};
-    mutable std::vector<std::uint32_t> tf_stamp{};
+    mutable std::vector<std::vector<SubjectId>> tf_cache;
+    mutable std::vector<std::uint32_t> tf_stamp;
     mutable std::uint32_t topo_epoch = 1;
-    mutable std::vector<Rect> full_rect{};  // fanin rect with no covered-filter
-    mutable std::vector<std::uint32_t> rect_stamp{};
+    mutable std::vector<Rect> full_rect;  // fanin rect with no covered-filter
+    mutable std::vector<std::uint32_t> rect_stamp;
     mutable std::uint32_t rect_epoch = 1;
     // Matcher buffers reused across every matches_at call of the DP.
     mutable MatchScratch match_scratch{};
@@ -108,17 +146,9 @@ void add_true_fanouts(const Ctx& ctx, SubjectId branch, std::vector<SubjectId>& 
 /// Cached true-fanout list of `stem`, recomputed lazily after each cone
 /// commit (see Ctx::topo_epoch).
 const std::vector<SubjectId>& true_fanouts(const Ctx& ctx, SubjectId stem) {
-    if (ctx.tf_cache.size() != ctx.g.size()) {
-        ctx.tf_cache.assign(ctx.g.size(), {});
-        ctx.tf_stamp.assign(ctx.g.size(), 0);
-    }
     if (ctx.tf_stamp[stem] == ctx.topo_epoch) return ctx.tf_cache[stem];
     std::vector<SubjectId>& out = ctx.tf_cache[stem];
     out.clear();
-    if (ctx.visit_mark.size() != ctx.g.size()) {
-        ctx.visit_mark.assign(ctx.g.size(), 0);
-        ctx.visit_epoch = 0;
-    }
     ++ctx.visit_epoch;
     for (const SubjectId f : ctx.topo.fanouts_of(stem)) add_true_fanouts(ctx, f, out);
     ctx.tf_stamp[stem] = ctx.topo_epoch;
@@ -133,10 +163,6 @@ bool is_covered_by(const Match& m, SubjectId v) {
 /// (most matches cover none of an input's other fanouts), cached per node
 /// and invalidated whenever positions can move (Ctx::rect_epoch).
 const Rect& full_fanin_rect(const Ctx& ctx, SubjectId vi) {
-    if (ctx.rect_stamp.size() != ctx.g.size()) {
-        ctx.full_rect.assign(ctx.g.size(), {});
-        ctx.rect_stamp.assign(ctx.g.size(), 0);
-    }
     if (ctx.rect_stamp[vi] == ctx.rect_epoch) return ctx.full_rect[vi];
     Rect r;
     r.expand(ctx.pos(vi));
@@ -309,8 +335,9 @@ RiseFallPair arrival_under_load(const Ctx& ctx, SubjectId vi, double c_load) {
 /// field the winner test or the committed solution can read is written here; the
 /// stale `out.cand.match` from a previous node is cleared (capacity kept) so
 /// copying the winning slot into sol[v] stays cheap.
-void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, bool degraded,
-                        bool delay_mode, EvalScratch& es, CandEval& out) {
+void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, EvalScratch& es,
+                        CandEval& out) {
+    const bool degraded = ctx.degraded;
     const Gate& gate = ctx.lib.gate(m.gate);
     const Point p = degraded ? ctx.place_pos[v] : candidate_position(ctx, v, m, es);
 
@@ -322,7 +349,7 @@ void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, bool degrad
     cand.has_match = false;
     cand.position = p;
     double key;
-    if (!delay_mode || degraded) {
+    if (!ctx.delay_mode || degraded) {
         cand.block.clear();
         cand.arrival_rise = 0.0;
         cand.arrival_fall = 0.0;
@@ -384,24 +411,32 @@ void evaluate_candidate(const Ctx& ctx, SubjectId v, const Match& m, bool degrad
     out.gate_area = gate.area;
 }
 
-/// DP at one gate node: enumerate matches and score each candidate in match
-/// order, keeping the winner under the original tie-break (lower key, then
-/// smaller gate area among equal keys). Shared by the full mapping and the
-/// cone-scoped ECO remap. Unsupported when nothing matches.
-Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
-                  bool& matcher_fault_pending) {
-    std::size_t n_matches = ctx.matcher.matches_at(ctx.g, v, ctx.match_scratch,
-                                                   ctx.match_pool, /*base_only=*/degraded);
-    if (matcher_fault_pending) {
+/// DP at one scheduled gate node, shared by the full mapping and the
+/// cone-scoped ECO remap: the node becomes a nestling and ticks the stage
+/// budget (the first refusal degrades it and every later node), then every
+/// match is scored in match order, keeping the winner under the original
+/// tie-break (lower key, then smaller gate area among equal keys).
+/// Unsupported when nothing matches.
+Status solve_node(Ctx& ctx, SubjectId v, LilyResult& result) {
+    ctx.state[v] = LifeState::Nestling;
+    if (!ctx.degraded && ctx.opts.budget != nullptr && !ctx.opts.budget->tick()) {
+        ctx.degraded = true;
+        result.budget_exhausted = true;
+    }
+    if (ctx.degraded) ++result.degraded_nodes;
+
+    std::size_t n_matches = ctx.matcher.matches_at(ctx.g, v, ctx.match_scratch, ctx.match_pool,
+                                                   /*base_only=*/ctx.degraded);
+    if (ctx.matcher_fault_pending) {
         n_matches = 0;
-        matcher_fault_pending = false;
+        ctx.matcher_fault_pending = false;
     }
     std::size_t best_i = n_matches;
     double best_key = std::numeric_limits<double>::max();
     for (std::size_t i = 0; i < n_matches; ++i) {
         const Match& m = ctx.match_pool[i];
         if (ctx.opts.cover == CoverMode::Trees && !legal_in_tree_mode(ctx.g, m)) continue;
-        evaluate_candidate(ctx, v, m, degraded, delay_mode, ctx.eval_scratch, ctx.trial);
+        evaluate_candidate(ctx, v, m, ctx.eval_scratch, ctx.trial);
         if (ctx.trial.key < best_key ||
             (ctx.trial.key == best_key && best_i < n_matches &&
              ctx.trial.gate_area < ctx.best.gate_area)) {
@@ -425,7 +460,7 @@ Status solve_node(Ctx& ctx, SubjectId v, bool degraded, bool delay_mode,
 /// become hawks, absorbed nodes become doves. Drops both cache generations
 /// afterwards (dove/hawk membership and hawk mapPositions both changed).
 void commit_cone(Ctx& ctx, SubjectId root) {
-    std::vector<SubjectId> stack;
+    std::vector<SubjectId>& stack = ctx.commit_stack;
     if (ctx.g.node(root).kind != SubjectKind::Input && !ctx.committed[root]) {
         stack.push_back(root);
         ctx.committed[root] = true;
@@ -450,7 +485,7 @@ void commit_cone(Ctx& ctx, SubjectId root) {
 
 /// Stage 3 of both mapping entry points: extract the cover and the
 /// constructive placement from the finished DP state into `result`.
-void extract_result(Ctx& ctx, bool delay_mode, LilyResult& result) {
+void extract_result(Ctx& ctx, LilyResult& result) {
     const SubjectGraph& g = ctx.g;
     std::vector<NodeSolution> plain(g.size());
     for (SubjectId v = 0; v < g.size(); ++v) {
@@ -465,7 +500,7 @@ void extract_result(Ctx& ctx, bool delay_mode, LilyResult& result) {
         result.estimated_wirelength += ctx.sol[inst.driver].local_wire;
     }
     result.total_area = result.netlist.total_gate_area(ctx.lib);
-    if (delay_mode) {
+    if (ctx.delay_mode) {
         for (const SubjectOutput& po : g.outputs()) {
             if (g.node(po.driver).kind == SubjectKind::Input) continue;
             result.worst_arrival = std::max(result.worst_arrival,
@@ -511,21 +546,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
                       "LilyMapper: inchoate placement diverged (non-finite coordinates)");
     }
 
-    Ctx ctx{g,
-            g.topology(),  // freeze the flat adjacency before the DP starts
-            *lib_,
-            opts,
-            matcher_,
-            std::move(view),
-            std::move(pads),
-            std::vector<Point>(g.size()),
-            std::vector<LifeState>(g.size(), LifeState::Egg),
-            std::vector<LilyNodeSolution>(g.size()),
-            std::vector<std::vector<std::size_t>>(g.size()),
-            std::vector<bool>(g.size(), false),
-            {},
-            0};
-
+    Ctx ctx(g, *lib_, opts, matcher_, std::move(view), std::move(pads));
     for (SubjectId v = 0; v < g.size(); ++v) {
         if (ctx.view.cell_of[v] != kNoCell) {
             ctx.place_pos[v] = inchoate.positions[ctx.view.cell_of[v]];
@@ -534,47 +555,25 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     for (std::size_t i = 0; i < g.inputs().size(); ++i) {
         ctx.place_pos[g.inputs()[i]] = ctx.pad_pos[ctx.view.pad_of_input(i)];
     }
-    for (std::size_t o = 0; o < g.outputs().size(); ++o) {
-        ctx.po_pads_of[g.outputs()[o].driver].push_back(ctx.view.pad_of_output(o));
-    }
 
     // ---- Stage 1: cone ordering (Section 3.5).
     const std::vector<Cone> cones = logic_cones(g);
     std::vector<std::size_t> order(cones.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     if (opts.order_cones) order = order_cones(g, cones);
+    const Csr<SubjectId> schedule = cone_schedule(g, cones, order);
     result.cone_order = order;
 
-    // ---- Stage 2: per-cone dynamic programming with layout costs.
-    const bool delay_mode = opts.objective == MapObjective::Delay;
+    // ---- Stage 2: per-cone dynamic programming with layout costs. Every
+    // cone is committed, even one whose gates all fell to earlier cones: its
+    // root must still become a hawk.
     std::size_t cones_since_replace = 0;
-    // Sticky once the stage budget fires: the rest of the nodes take the
-    // cheap path (base gates only, no wire-cost search) so the mapper still
-    // produces a legal cover instead of aborting.
-    bool degraded = false;
-    // Injected matcher failure: the first gate node sees an empty match list.
-    bool matcher_fault_pending = fault_enabled("matcher", "no-match");
-
-    for (const std::size_t ci : order) {
-        const Cone& cone = cones[ci];
-        for (const SubjectId v : cone.members) {
-            const SubjectNode& n = g.node(v);
-            if (n.kind == SubjectKind::Input) continue;
-            if (ctx.state[v] != LifeState::Egg) continue;  // mapped in an earlier cone
-            ctx.state[v] = LifeState::Nestling;
-
-            if (!degraded && opts.budget != nullptr && !opts.budget->tick()) {
-                degraded = true;
-                result.budget_exhausted = true;
-            }
-            if (degraded) ++result.degraded_nodes;
-
-            const Status solved = solve_node(ctx, v, degraded, delay_mode,
-                                             matcher_fault_pending);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        for (const SubjectId v : schedule.neighbors(k)) {
+            const Status solved = solve_node(ctx, v, result);
             if (!solved.is_ok()) return solved;
         }
-
-        commit_cone(ctx, cone.root);
+        commit_cone(ctx, cones[order[k]].root);
 
         // ---- Optional periodic re-placement of the partially mapped
         // network (Section 3.2): hawks are pulled toward their mapPositions,
@@ -610,7 +609,7 @@ StatusOr<LilyResult> LilyMapper::map_checked(
     }
 
     // ---- Stage 3: extract the cover and the constructive placement.
-    extract_result(ctx, delay_mode, result);
+    extract_result(ctx, result);
     result.inchoate_placement = std::move(inchoate);
     return result;
 }
@@ -643,21 +642,7 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const Lily
     std::vector<Point> pads = prior.pad_positions;
     view.netlist.pad_positions = pads;
 
-    Ctx ctx{g,
-            g.topology(),  // freeze the flat adjacency before the DP starts
-            *lib_,
-            opts,
-            matcher_,
-            std::move(view),
-            std::move(pads),
-            std::vector<Point>(g.size()),
-            std::vector<LifeState>(g.size(), LifeState::Egg),
-            std::vector<LilyNodeSolution>(g.size()),
-            std::vector<std::vector<std::size_t>>(g.size()),
-            std::vector<bool>(g.size(), false),
-            {},
-            0};
-
+    Ctx ctx(g, *lib_, opts, matcher_, std::move(view), std::move(pads));
     for (SubjectId v = 0; v < old_n; ++v) {
         ctx.place_pos[v] = prior.subject_positions[v];
         ctx.state[v] = prior.final_state[v];
@@ -674,49 +659,30 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const Lily
         for (unsigned i = 0; i < n.fanin_count(); ++i) pts.push_back(ctx.place_pos[n.fanin(i)]);
         if (!pts.empty()) ctx.place_pos[v] = center_of_mass(pts);
     }
-    for (std::size_t o = 0; o < g.outputs().size(); ++o) {
-        ctx.po_pads_of[g.outputs()[o].driver].push_back(ctx.view.pad_of_output(o));
-    }
 
-    // ---- Stage 1+2: cone-scoped DP, dirty cones only. A cone is dirty when
-    // it contains a gate node without a DP solution — exactly the new nodes
-    // plus old nodes that never sat inside a mapped cone (a retargeted PO
-    // can expose those). Clean cones keep their prior cover untouched; the
-    // commit walk from each dirty root re-derives hawk/dove states, and the
-    // final needed-walk in extract_cover drops orphaned old logic.
+    // ---- Stage 1+2: cone-scoped DP, dirty cones only, in PO order. The
+    // schedule holds the gate nodes without a DP solution — exactly the new
+    // nodes plus old nodes that never sat inside a mapped cone (a retargeted
+    // PO can expose those) — so a cone is dirty iff its bucket is non-empty.
+    // Clean cones keep their prior cover untouched; the commit walk from
+    // each dirty root re-derives hawk/dove states, and the final needed-walk
+    // in extract_cover drops orphaned old logic.
     const std::vector<Cone> cones = logic_cones(g);
-    const bool delay_mode = opts.objective == MapObjective::Delay;
-    bool degraded = false;
-    bool matcher_fault_pending = fault_enabled("matcher", "no-match");
+    std::vector<std::size_t> po_order(cones.size());
+    for (std::size_t i = 0; i < po_order.size(); ++i) po_order[i] = i;
+    std::vector<bool> solved_before(g.size());
+    for (SubjectId v = 0; v < g.size(); ++v) solved_before[v] = ctx.sol[v].has_match;
+    const Csr<SubjectId> schedule = cone_schedule(g, cones, po_order, solved_before);
 
     for (std::size_t ci = 0; ci < cones.size(); ++ci) {
-        const Cone& cone = cones[ci];
-        bool dirty = false;
-        for (const SubjectId v : cone.members) {
-            if (g.node(v).kind != SubjectKind::Input && !ctx.sol[v].has_match) {
-                dirty = true;
-                break;
-            }
-        }
-        if (!dirty) continue;
+        if (schedule.degree(ci) == 0) continue;
         result.cone_order.push_back(ci);
-        for (const SubjectId v : cone.members) {
-            if (g.node(v).kind == SubjectKind::Input) continue;
-            if (ctx.sol[v].has_match) continue;  // prior DP solution carries over
-            ctx.state[v] = LifeState::Nestling;
-
-            if (!degraded && opts.budget != nullptr && !opts.budget->tick()) {
-                degraded = true;
-                result.budget_exhausted = true;
-            }
-            if (degraded) ++result.degraded_nodes;
-
-            const Status solved = solve_node(ctx, v, degraded, delay_mode,
-                                             matcher_fault_pending);
+        for (const SubjectId v : schedule.neighbors(ci)) {
+            const Status solved = solve_node(ctx, v, result);
             if (!solved.is_ok()) return solved;
             ++result.remapped_nodes;
         }
-        commit_cone(ctx, cone.root);
+        commit_cone(ctx, cones[ci].root);
     }
 
     // ---- Stage 3: extraction, identical to the full mapping. Reuse ratio:
@@ -726,7 +692,7 @@ StatusOr<LilyResult> LilyMapper::remap_checked(const SubjectGraph& g, const Lily
         if (g.node(v).kind != SubjectKind::Input && ctx.sol[v].has_match) ++with_solution;
     }
     result.reused_nodes = with_solution - result.remapped_nodes;
-    extract_result(ctx, delay_mode, result);
+    extract_result(ctx, result);
     result.inchoate_placement = prior.inchoate_placement;  // region + old coordinates
     return result;
 }

@@ -112,6 +112,9 @@ struct LilyResult {
     /// The inchoate placement the wire estimates were drawn from.
     GlobalPlacement inchoate_placement;
     std::vector<Point> pad_positions;
+    /// Indices into logic_cones(g). After map_checked: the processing order,
+    /// a permutation of every cone. After remap_checked: the dirty cones
+    /// (those holding a gate without a prior DP solution), in PO order.
     std::vector<std::size_t> cone_order;
     std::vector<LifeState> final_state;       // per subject node
     std::vector<LilyNodeSolution> solution;   // per subject node

@@ -1,78 +1,87 @@
 #include "subject/cones.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace lily {
 
 std::vector<Cone> logic_cones(const SubjectGraph& g) {
-    const SubjectTopology& t = g.topology();
     std::vector<Cone> cones;
     std::vector<bool> seen_root(g.size(), false);
-    // Buffers reused across cones: epoch-stamped visit marks replace the
-    // fresh O(n) bitmap the old implementation allocated per cone, and
-    // members are collected during the DFS (then sorted into id order)
-    // instead of an O(n) full-graph scan per cone.
-    std::vector<std::uint32_t> mark(g.size(), 0);
-    std::uint32_t epoch = 0;
-    std::vector<SubjectId> stack;
     for (const SubjectOutput& po : g.outputs()) {
         if (seen_root[po.driver]) continue;  // outputs sharing a driver share a cone
         seen_root[po.driver] = true;
-        Cone cone;
-        cone.po_name = po.name;
-        cone.root = po.driver;
-        ++epoch;
-        stack.clear();
-        stack.push_back(po.driver);
-        mark[po.driver] = epoch;
-        cone.members.push_back(po.driver);
-        while (!stack.empty()) {
-            const SubjectId v = stack.back();
-            stack.pop_back();
-            const unsigned fc = t.kind[v] == SubjectKind::Input
-                                    ? 0u
-                                    : (t.kind[v] == SubjectKind::Inv ? 1u : 2u);
-            for (unsigned k = 0; k < fc; ++k) {
-                const SubjectId f = k == 0 ? t.fanin0[v] : t.fanin1[v];
-                if (mark[f] != epoch) {
-                    mark[f] = epoch;
-                    stack.push_back(f);
-                    cone.members.push_back(f);
-                }
-            }
-        }
-        // Emit in id (= topological) order, as the DP iteration requires.
-        std::sort(cone.members.begin(), cone.members.end());
-        cones.push_back(std::move(cone));
+        cones.push_back({po.name, po.driver});
     }
     return cones;
+}
+
+Csr<SubjectId> cone_schedule(const SubjectGraph& g, const std::vector<Cone>& cones,
+                             const std::vector<std::size_t>& order,
+                             const std::vector<bool>& done) {
+    constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+    const SubjectTopology& t = g.topology();
+    // first[v]: the earliest position whose cone holds v. A root holds
+    // itself; any other node is in a cone iff one of its fanouts is.
+    std::vector<std::uint32_t> first(g.size(), kNone);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        first[cones[order[k]].root] = static_cast<std::uint32_t>(k);
+    }
+    for (SubjectId v = static_cast<SubjectId>(g.size()); v-- > 0;) {
+        for (const SubjectId f : t.fanouts_of(v)) first[v] = std::min(first[v], first[f]);
+    }
+    const auto scheduled = [&](SubjectId v) {
+        return first[v] != kNone && t.kind[v] != SubjectKind::Input &&
+               (done.empty() || !done[v]);
+    };
+    // Counting sort by first position; emission in id order keeps each
+    // bucket in id order.
+    std::vector<std::uint32_t> count(order.size(), 0);
+    for (SubjectId v = 0; v < g.size(); ++v) {
+        if (scheduled(v)) ++count[first[v]];
+    }
+    return Csr<SubjectId>::counted(
+        order.size(), [&](std::size_t k) { return count[k]; },
+        [&](auto&& emit) {
+            for (SubjectId v = 0; v < g.size(); ++v) {
+                if (scheduled(v)) emit(first[v], v);
+            }
+        });
 }
 
 std::vector<std::vector<unsigned>> exit_line_matrix(const SubjectGraph& g,
                                                     const std::vector<Cone>& cones) {
     const std::size_t nc = cones.size();
-    // Cone membership as per-node bitsets over cones (nc is small: one per PO).
+    const SubjectTopology& t = g.topology();
+    // Cone membership as per-node bitsets over cones (nc is small: one per
+    // PO), OR-ed up from the roots in one reverse-id pass.
     const std::size_t words = (nc + 63) / 64;
     std::vector<std::uint64_t> member(g.size() * words, 0);
-    const auto set_member = [&](SubjectId v, std::size_t cone) {
-        member[v * words + cone / 64] |= std::uint64_t{1} << (cone % 64);
-    };
-    const auto is_member = [&](SubjectId v, std::size_t cone) {
-        return (member[v * words + cone / 64] >> (cone % 64)) & 1;
-    };
     for (std::size_t i = 0; i < nc; ++i) {
-        for (SubjectId v : cones[i].members) set_member(v, i);
+        member[cones[i].root * words + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    for (SubjectId v = static_cast<SubjectId>(g.size()); v-- > 0;) {
+        for (const SubjectId f : t.fanouts_of(v)) {
+            for (std::size_t w = 0; w < words; ++w) member[v * words + w] |= member[f * words + w];
+        }
     }
 
-    const SubjectTopology& t = g.topology();
+    // Line u -> v exits cone i into cone j iff u is in i, v is not, and v is
+    // in j (so j != i): walk the set bits of both masks.
     std::vector<std::vector<unsigned>> m(nc, std::vector<unsigned>(nc, 0));
     for (SubjectId u = 0; u < g.size(); ++u) {
-        for (SubjectId v : t.fanouts_of(u)) {
-            for (std::size_t i = 0; i < nc; ++i) {
-                if (!is_member(u, i) || is_member(v, i)) continue;  // not an exit line of i
-                for (std::size_t j = 0; j < nc; ++j) {
-                    if (j != i && is_member(v, j)) ++m[i][j];
+        for (const SubjectId v : t.fanouts_of(u)) {
+            const std::uint64_t* into = &member[v * words];
+            for (std::size_t wi = 0; wi < words; ++wi) {
+                for (std::uint64_t exits = member[u * words + wi] & ~into[wi]; exits != 0;
+                     exits &= exits - 1) {
+                    std::vector<unsigned>& row = m[wi * 64 + std::countr_zero(exits)];
+                    for (std::size_t wj = 0; wj < words; ++wj) {
+                        for (std::uint64_t js = into[wj]; js != 0; js &= js - 1) {
+                            ++row[wj * 64 + std::countr_zero(js)];
+                        }
+                    }
                 }
             }
         }
@@ -84,6 +93,12 @@ namespace {
 
 std::vector<std::size_t> greedy_min_row_sum(const std::vector<std::vector<unsigned>>& m) {
     const std::size_t nc = m.size();
+    // Row sums over the cones not yet emitted, kept up to date as each cone
+    // is emitted: O(nc^2) in all.
+    std::vector<std::uint64_t> row_sum(nc, 0);
+    for (std::size_t i = 0; i < nc; ++i) {
+        for (std::size_t j = 0; j < nc; ++j) row_sum[i] += m[i][j];
+    }
     std::vector<bool> done(nc, false);
     std::vector<std::size_t> order;
     order.reserve(nc);
@@ -91,18 +106,14 @@ std::vector<std::size_t> greedy_min_row_sum(const std::vector<std::vector<unsign
         std::size_t best = nc;
         std::uint64_t best_sum = std::numeric_limits<std::uint64_t>::max();
         for (std::size_t i = 0; i < nc; ++i) {
-            if (done[i]) continue;
-            std::uint64_t sum = 0;
-            for (std::size_t j = 0; j < nc; ++j) {
-                if (!done[j]) sum += m[i][j];
-            }
-            if (sum < best_sum) {
-                best_sum = sum;
+            if (!done[i] && row_sum[i] < best_sum) {
+                best_sum = row_sum[i];
                 best = i;
             }
         }
         done[best] = true;
         order.push_back(best);
+        for (std::size_t i = 0; i < nc; ++i) row_sum[i] -= m[i][best];
     }
     return order;
 }

@@ -14,6 +14,7 @@
 #include "library/standard_cells.hpp"
 #include "netlist/delta.hpp"
 #include "netlist/simulate.hpp"
+#include "subject/cones.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 
@@ -138,6 +139,66 @@ TEST(Eco, SmallEditReusesMostArtifacts) {
     // The maintained artifacts still compute the edited circuit.
     EXPECT_TRUE(equivalent_random_checked(state.net, state.flow.netlist.to_network(lib), 8, 21)
                     .take_or_raise());
+}
+
+// The remap re-solves exactly the gates without a prior DP solution (new
+// subject nodes, or old ones outside every mapped cone), each once, in the
+// first cone (PO order) whose transitive fanin holds it; its dirty cones are
+// exactly the cones that are first to reach such a gate.
+TEST(Eco, RemapSolvesExactlyTheUnsolvedGates) {
+    const Library lib = load_msu_big();
+    StatusOr<PipelineState> built =
+        build_pipeline(make_control_logic(58, 29, 400, 0xD1E7, "eco-dirty"), lib);
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    PipelineState state = std::move(built).value();
+
+    for (std::uint64_t step = 0; step < 10; ++step) {
+        std::vector<bool> solved(state.subject_size_at_map);
+        for (SubjectId v = 0; v < solved.size(); ++v) {
+            solved[v] = state.lily.solution[v].has_match;
+        }
+        StatusOr<EcoStats> eco =
+            run_eco_flow_checked(state, local_delta(state.net, 3, 0xD1E7 + step));
+        ASSERT_TRUE(eco.is_ok()) << "step " << step << ": " << eco.status().to_string();
+        ASSERT_FALSE(eco.value().full_reflow) << "step " << step;
+
+        // Oracle: DFS each cone's transitive fanin, in PO order; `reached`
+        // marks what earlier cones already hold.
+        const SubjectGraph& g = state.subject.graph;
+        const auto unsolved = [&](SubjectId v) {
+            return g.node(v).kind != SubjectKind::Input && (v >= solved.size() || !solved[v]);
+        };
+        const std::vector<Cone> cones = logic_cones(g);
+        std::vector<bool> reached(g.size(), false);
+        std::vector<std::size_t> dirty;
+        std::size_t to_solve = 0;
+        for (std::size_t ci = 0; ci < cones.size(); ++ci) {
+            std::vector<bool> in(g.size(), false);
+            std::vector<SubjectId> stack{cones[ci].root};
+            in[cones[ci].root] = true;
+            bool is_dirty = false;
+            while (!stack.empty()) {
+                const SubjectId v = stack.back();
+                stack.pop_back();
+                if (unsolved(v) && !reached[v]) {
+                    is_dirty = true;
+                    ++to_solve;
+                }
+                reached[v] = true;
+                const SubjectNode& n = g.node(v);
+                for (unsigned k = 0; k < n.fanin_count(); ++k) {
+                    if (!in[n.fanin(k)]) {
+                        in[n.fanin(k)] = true;
+                        stack.push_back(n.fanin(k));
+                    }
+                }
+            }
+            if (is_dirty) dirty.push_back(ci);
+        }
+        EXPECT_EQ(state.lily.cone_order, dirty) << "step " << step;
+        EXPECT_EQ(eco.value().remapped_nodes, to_solve) << "step " << step;
+        EXPECT_EQ(state.lily.remapped_nodes, to_solve) << "step " << step;
+    }
 }
 
 TEST(Eco, EmptyDeltaIsNoOp) {

@@ -47,7 +47,7 @@ std::string render(const FlowMetrics& metrics, const std::string& blif) {
 
 /// Compare against (or, in update mode, rewrite) tests/data/golden/<name>.
 /// Missing goldens skip rather than fail so a fresh checkout without the
-/// data still builds green; CI ships the files.
+/// data still builds green; scripts/ci.sh fails on any skipped case.
 void check_golden(const std::string& name, const std::string& actual) {
     const std::string path = golden_dir() + name;
     if (update_mode()) {
@@ -113,6 +113,36 @@ TEST_P(GoldenFlow, EcoAfterLocalDelta) {
     const StatusOr<EcoStats> eco = run_eco_flow_checked(state, delta);
     ASSERT_TRUE(eco.is_ok()) << eco.status().to_string();
     check_golden("eco_prio10_d3.txt",
+                 render(state.flow.metrics,
+                        write_blif(state.flow.netlist.to_network(lib, "golden"))));
+}
+
+// Cone scale: 400 gates give 28 cones, so the cone schedule (ordering,
+// first-cone ownership, dirty cones) is exercised well beyond prio10/alu5.
+Network control400() { return make_control_logic(58, 29, 400, 0x400, "golden400"); }
+
+TEST_P(GoldenFlow, LilyBatchControl400) {
+    const Library lib = load_msu_big();
+    const FlowResult res =
+        run_lily_flow_checked(control400(), lib, options_with_threads(GetParam()))
+            .take_or_raise();
+    check_golden("lily_control400.txt",
+                 render(res.metrics, write_blif(res.netlist.to_network(lib, "golden"))));
+}
+
+TEST_P(GoldenFlow, EcoControl400FiveDeltas) {
+    const Library lib = load_msu_big();
+    StatusOr<PipelineState> built =
+        build_pipeline(control400(), lib, options_with_threads(GetParam()));
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    PipelineState state = std::move(built).value();
+    for (std::uint64_t k = 0; k < 5; ++k) {
+        const NetDelta delta = local_delta(state.net, 4, 0xC0DE + k);
+        const StatusOr<EcoStats> eco = run_eco_flow_checked(state, delta);
+        ASSERT_TRUE(eco.is_ok()) << eco.status().to_string();
+        EXPECT_FALSE(eco.value().full_reflow) << "delta " << k << " left the incremental path";
+    }
+    check_golden("eco_control400_d5.txt",
                  render(state.flow.metrics,
                         write_blif(state.flow.netlist.to_network(lib, "golden"))));
 }

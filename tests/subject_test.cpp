@@ -220,29 +220,110 @@ TEST(Decompose, RandomNetworksEquivalentSweep) {
 
 // ------------------------------------------------------------------- cones
 
-TEST(Cones, OnePerDistinctDriver) {
-    const Network net = full_adder();
-    const DecomposeResult r = decompose(net);
-    const auto cones = logic_cones(r.graph);
-    EXPECT_EQ(cones.size(), 2u);
-    for (const Cone& c : cones) {
-        EXPECT_FALSE(c.members.empty());
-        EXPECT_EQ(c.members.back(), c.root);  // topological order, root last
+/// Oracle: the transitive fanin of `root` (inputs included), by DFS.
+std::vector<bool> cone_members(const SubjectGraph& g, SubjectId root) {
+    std::vector<bool> in(g.size(), false);
+    std::vector<SubjectId> stack{root};
+    in[root] = true;
+    while (!stack.empty()) {
+        const SubjectNode& n = g.node(stack.back());
+        stack.pop_back();
+        for (unsigned k = 0; k < n.fanin_count(); ++k) {
+            if (!in[n.fanin(k)]) {
+                in[n.fanin(k)] = true;
+                stack.push_back(n.fanin(k));
+            }
+        }
+    }
+    return in;
+}
+
+/// Checks cone_schedule against a per-cone DFS: walking the cones in
+/// `order`, each gate lands in the bucket of the first cone that reaches
+/// it, in id order, unless `done` marks it.
+void expect_schedule_matches_dfs(const SubjectGraph& g, const std::vector<Cone>& cones,
+                                 const std::vector<std::size_t>& order,
+                                 const std::vector<bool>& done) {
+    const Csr<SubjectId> schedule = cone_schedule(g, cones, order, done);
+    ASSERT_EQ(schedule.node_count(), order.size());
+    std::vector<bool> claimed(g.size(), false);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+        const std::vector<bool> in = cone_members(g, cones[order[k]].root);
+        std::vector<SubjectId> want;
+        for (SubjectId v = 0; v < g.size(); ++v) {
+            if (!in[v] || claimed[v]) continue;
+            claimed[v] = true;
+            if (g.node(v).kind != SubjectKind::Input && (done.empty() || !done[v])) {
+                want.push_back(v);
+            }
+        }
+        const std::span<const SubjectId> got = schedule.neighbors(k);
+        EXPECT_EQ(std::vector<SubjectId>(got.begin(), got.end()), want) << "position " << k;
     }
 }
 
-TEST(Cones, MembersAreTransitiveFanin) {
-    const Network net = random_network(21);
+TEST(Cones, OnePerDistinctDriver) {
+    // Two outputs share the carry's driver: still one cone per driver.
+    Network net = full_adder();
+    net.add_output("cout_copy", net.outputs()[1].driver);
     const DecomposeResult r = decompose(net);
     const auto cones = logic_cones(r.graph);
-    for (const Cone& c : cones) {
-        std::vector<bool> in(r.graph.size(), false);
-        for (SubjectId v : c.members) in[v] = true;
-        for (SubjectId v : c.members) {
-            const SubjectNode& n = r.graph.node(v);
-            for (unsigned k = 0; k < n.fanin_count(); ++k) EXPECT_TRUE(in[n.fanin(k)]);
+    ASSERT_EQ(cones.size(), 2u);
+    EXPECT_NE(cones[0].root, cones[1].root);
+    for (std::size_t i = 0; i < cones.size(); ++i) {
+        EXPECT_EQ(cones[i].po_name, r.graph.outputs()[i].name);  // PO order
+        EXPECT_EQ(cones[i].root, r.graph.outputs()[i].driver);
+    }
+    // Reverse order with every third node done, then nothing done.
+    std::vector<bool> done(r.graph.size(), false);
+    for (SubjectId v = 0; v < r.graph.size(); v += 3) done[v] = true;
+    expect_schedule_matches_dfs(r.graph, cones, {1, 0}, done);
+    expect_schedule_matches_dfs(r.graph, cones, {0, 1}, {});
+}
+
+TEST(Cones, MembersAreTransitiveFanin) {
+    DecomposeResult r = decompose(random_network(21, 8, 120));
+    // Extra outputs on every 4th gate: over 128 overlapping cones, so
+    // the per-node cone bitsets span several words.
+    for (SubjectId v = 0; v < r.graph.size(); v += 4) {
+        if (r.graph.node(v).kind != SubjectKind::Input) {
+            r.graph.add_output("x" + std::to_string(v), v);
         }
     }
+    const SubjectGraph& g = r.graph;
+    const auto cones = logic_cones(g);
+    ASSERT_GT(cones.size(), 128u);
+
+    // Schedules: identity, reversed, the greedy order, and a subset of the
+    // cones; with no node done and with a scattered done mask.
+    std::vector<std::size_t> identity(cones.size());
+    for (std::size_t i = 0; i < cones.size(); ++i) identity[i] = i;
+    const std::vector<std::size_t> reversed(identity.rbegin(), identity.rend());
+    const std::vector<std::size_t> subset(reversed.begin(), reversed.begin() + 2);
+    std::vector<bool> done(g.size(), false);
+    Rng rng(21);
+    for (SubjectId v = 0; v < g.size(); ++v) done[v] = rng.next_bool(0.3);
+    for (const auto& order : {identity, reversed, order_cones(g, cones), subset}) {
+        expect_schedule_matches_dfs(g, cones, order, {});
+        expect_schedule_matches_dfs(g, cones, order, done);
+    }
+
+    // The exit-line matrix by its definition over the DFS member sets.
+    std::vector<std::vector<bool>> in;
+    for (const Cone& c : cones) in.push_back(cone_members(g, c.root));
+    std::vector<std::vector<unsigned>> want(cones.size(),
+                                            std::vector<unsigned>(cones.size(), 0));
+    for (SubjectId u = 0; u < g.size(); ++u) {
+        for (const SubjectId v : g.node(u).fanouts) {
+            for (std::size_t i = 0; i < cones.size(); ++i) {
+                if (!in[i][u] || in[i][v]) continue;
+                for (std::size_t j = 0; j < cones.size(); ++j) {
+                    if (j != i && in[j][v]) ++want[i][j];
+                }
+            }
+        }
+    }
+    EXPECT_EQ(exit_line_matrix(g, cones), want);
 }
 
 TEST(Cones, ExitLineMatrixDiagonalZeroAndCounts) {
